@@ -190,9 +190,6 @@ bool CountersMonotone(const WireCounters& a, const WireCounters& b) {
          a.outbox_peak_bytes <= b.outbox_peak_bytes;
 }
 
-namespace {
-
-// A listening socket on an ephemeral loopback port.
 int ListenLoopback(std::uint16_t* port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   WEBWAVE_REQUIRE(fd >= 0, "socket() failed");
@@ -214,8 +211,6 @@ int ListenLoopback(std::uint16_t* port) {
   *port = ntohs(addr.sin_port);
   return fd;
 }
-
-}  // namespace
 
 NetdRunResult RunNetdCluster(const NetdClusterConfig& config) {
   WEBWAVE_REQUIRE(config.server_count >= 1, "need at least one server");

@@ -249,6 +249,10 @@ struct NetdRunResult {
   std::uint64_t loop_max_stall_ns = 0;
 };
 
+// A listening TCP socket on an ephemeral 127.0.0.1 port (written to
+// *port); the fleet's daemons each own one.
+int ListenLoopback(std::uint16_t* port);
+
 // Forks config.server_count daemons, runs the loadgen against them,
 // collects every daemon's counters, shuts the fleet down and reaps it.
 NetdRunResult RunNetdCluster(const NetdClusterConfig& config);

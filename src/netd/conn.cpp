@@ -2,6 +2,9 @@
 
 #include <errno.h>
 #include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstring>
@@ -14,11 +17,19 @@ FrameConn::~FrameConn() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-int MakeNonBlocking(int fd) {
+int SetUpSocket(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   WEBWAVE_REQUIRE(flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0,
                   "fcntl(O_NONBLOCK) failed");
   ::fcntl(fd, F_SETFD, FD_CLOEXEC);
+  // No Nagle: a frame leaves when the loop flushes, never waiting on the
+  // peer's (delayed) ACK of the previous one.  AF_UNIX sockets reject
+  // the option — they never coalesce anyway.
+  const int one = 1;
+  WEBWAVE_REQUIRE(
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one) == 0 ||
+          errno == EOPNOTSUPP || errno == ENOPROTOOPT,
+      "setsockopt(TCP_NODELAY) failed");
   return fd;
 }
 
@@ -40,6 +51,7 @@ bool FrameConn::Flush() {
     // queued later, so frames never interleave on the wire.
     const ssize_t n =
         ::write(fd_, out_.data() + out_start_, out_.size() - out_start_);
+    ++write_calls_;
     if (n > 0) {
       out_start_ += static_cast<std::size_t>(n);
       continue;
@@ -85,8 +97,16 @@ bool FrameConn::OnReadable(
     const auto st = MessageCodec::Decode(
         in_.data() + in_start_, in_.size() - in_start_, &msg, &consumed);
     if (st == MessageCodec::DecodeStatus::kNeedMore) break;
-    WEBWAVE_REQUIRE(st == MessageCodec::DecodeStatus::kOk,
-                    "byte-garbage on a netd connection");
+    if (st == MessageCodec::DecodeStatus::kError) {
+      // Byte-garbage: nothing after it can be framed.  Drop the input
+      // and report a conn-down; the owner loses this peer, not the
+      // process.
+      poisoned_ = true;
+      closed_ = true;
+      in_.clear();
+      in_start_ = 0;
+      return false;
+    }
     in_start_ += consumed;
     on_frame(msg);
   }

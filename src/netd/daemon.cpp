@@ -76,10 +76,11 @@ CacheServerDaemon::~CacheServerDaemon() {
 }
 
 int CacheServerDaemon::Run() {
-  MakeNonBlocking(listen_fd_);
+  SetUpSocket(listen_fd_);
   flight_.Note(FlightEventKind::kBoot, static_cast<std::uint64_t>(index_),
                epoch_);
   loop_.WatchRead(listen_fd_, [this] { OnAcceptable(); });
+  loop_.SetRoundEnd([this] { FlushRound(); });
   if (config_.gossip_period_ms > 0 && config_.server_count > 1)
     ScheduleGossip();
   const int code = loop_.Run();
@@ -100,7 +101,7 @@ void CacheServerDaemon::OnAcceptable() {
 }
 
 void CacheServerDaemon::AdoptConn(int fd) {
-  MakeNonBlocking(fd);
+  SetUpSocket(fd);
   conns_[fd] = std::make_unique<FrameConn>(fd);
   flight_.Note(FlightEventKind::kConnUp, static_cast<std::uint64_t>(fd),
                /*arg=*/0);  // arg 0: accepted (incoming) conn
@@ -124,23 +125,6 @@ void CacheServerDaemon::DropConn(int fd) {
                /*arg=*/0);
   loop_.Unwatch(fd);
   conns_.erase(it);  // closes the fd
-}
-
-void CacheServerDaemon::UpdateWriteInterest(int fd) {
-  const auto it = conns_.find(fd);
-  if (it == conns_.end()) return;
-  FrameConn* c = it->second.get();
-  NoteOutboxPeak(*c);
-  if (c->closed()) {
-    DropConn(fd);
-    return;
-  }
-  loop_.SetWriteInterest(fd, c->want_write(), [this, fd] {
-    const auto it2 = conns_.find(fd);
-    if (it2 == conns_.end()) return;
-    it2->second->Flush();
-    UpdateWriteInterest(fd);
-  });
 }
 
 void CacheServerDaemon::OnFrame(int from_fd, const WireMessage& msg) {
@@ -176,10 +160,7 @@ void CacheServerDaemon::DispatchFrame(int from_fd, const WireMessage& msg) {
       const int dest = it->second;
       pending_.erase(it);
       const auto cit = conns_.find(dest);
-      if (cit != conns_.end()) {
-        cit->second->Send(msg.reply);
-        UpdateWriteInterest(dest);
-      }
+      if (cit != conns_.end()) cit->second->Send(msg.reply);
       break;
     }
     case MsgType::kLoadGossip:
@@ -196,7 +177,6 @@ void CacheServerDaemon::DispatchFrame(int from_fd, const WireMessage& msg) {
         it->second->Send(reply);
         flight_.Note(FlightEventKind::kFrameOut, 0,
                      static_cast<std::uint32_t>(MsgType::kStatsReply));
-        UpdateWriteInterest(from_fd);
       }
       break;
     }
@@ -205,20 +185,14 @@ void CacheServerDaemon::DispatchFrame(int from_fd, const WireMessage& msg) {
       // SIGKILL: the loadgen drains the fleet, asks for the ring, and
       // only kills once the reply (and the stats/trace scrapes) landed.
       const auto it = conns_.find(from_fd);
-      if (it != conns_.end()) {
-        it->second->Send(FlightSnapshot());
-        UpdateWriteInterest(from_fd);
-      }
+      if (it != conns_.end()) it->second->Send(FlightSnapshot());
       break;
     }
     case MsgType::kTraceRequest: {
       // The trace scrape: ship every TraceEvent this shard recorded.  The
       // loadgen merges and canonicalizes the per-daemon streams.
       const auto it = conns_.find(from_fd);
-      if (it != conns_.end()) {
-        it->second->Send(plane_->trace());
-        UpdateWriteInterest(from_fd);
-      }
+      if (it != conns_.end()) it->second->Send(plane_->trace());
       break;
     }
     case MsgType::kQuotaDelta:
@@ -241,7 +215,6 @@ void CacheServerDaemon::DispatchFrame(int from_fd, const WireMessage& msg) {
           h.sender = static_cast<std::uint32_t>(index_);
           h.epoch = epoch_;
           it->second->Send(h);
-          UpdateWriteInterest(from_fd);
         }
       }
       break;
@@ -268,7 +241,6 @@ void CacheServerDaemon::HandleRequest(int from_fd, const GetRequest& req) {
         it->second->Send(reply);
         flight_.Note(FlightEventKind::kFrameOut, reply.req_id,
                      static_cast<std::uint32_t>(MsgType::kGetReply));
-        UpdateWriteInterest(from_fd);
       }
       break;
     }
@@ -293,10 +265,7 @@ void CacheServerDaemon::HandleRequest(int from_fd, const GetRequest& req) {
         shed.version = epoch_;
         registry_.Add(reg_shed_forwards_, 1);
         const auto it = conns_.find(from_fd);
-        if (it != conns_.end()) {
-          it->second->Send(shed);
-          UpdateWriteInterest(from_fd);
-        }
+        if (it != conns_.end()) it->second->Send(shed);
         break;
       }
       pending_[req.req_id] = from_fd;
@@ -304,7 +273,6 @@ void CacheServerDaemon::HandleRequest(int from_fd, const GetRequest& req) {
       registry_.Add(reg_net_forwards_, 1);
       flight_.Note(FlightEventKind::kFrameOut, fwd.req_id,
                    static_cast<std::uint32_t>(MsgType::kGetRequest));
-      UpdatePeerWriteInterest(target);
       break;
     }
   }
@@ -336,7 +304,7 @@ void CacheServerDaemon::StartConnect(int s) {
   PeerLink& link = peers_[static_cast<std::size_t>(s)];
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   WEBWAVE_REQUIRE(fd >= 0, "socket() failed");
-  MakeNonBlocking(fd);
+  SetUpSocket(fd);
   link.conn->ResetFd(fd);
   link.st = PeerLink::St::kConnecting;
   sockaddr_in addr;
@@ -403,11 +371,9 @@ void CacheServerDaemon::FinishConnect(int s) {
         [this, fd2 = l.conn->fd()](const WireMessage& m) { OnFrame(fd2, m); });
     if (!alive) PeerConnDown(s);
   });
-  if (!link.conn->Flush()) {
-    PeerConnDown(s);
-    return;
-  }
-  UpdatePeerWriteInterest(s);
+  // Drop the connect-completion callback; the round-end flush writes
+  // the queue (Hello first) and arms POLLOUT only if it must.
+  loop_.SetWriteInterest(fd, false);
 }
 
 void CacheServerDaemon::ConnectFailed(int s) {
@@ -448,25 +414,32 @@ void CacheServerDaemon::PeerConnDown(int s) {
                /*arg=*/1);
 }
 
-void CacheServerDaemon::UpdatePeerWriteInterest(int s) {
-  PeerLink& link = peers_[static_cast<std::size_t>(s)];
-  if (!link.conn) return;
-  NoteOutboxPeak(*link.conn);
-  if (link.st != PeerLink::St::kLive) return;  // corked; nothing to flush
-  if (link.conn->closed()) {
-    PeerConnDown(s);
-    return;
-  }
-  const int fd = link.conn->fd();
-  loop_.SetWriteInterest(fd, link.conn->want_write(), [this, s] {
-    PeerLink& l = peers_[static_cast<std::size_t>(s)];
-    if (l.st != PeerLink::St::kLive || !l.conn) return;
-    if (!l.conn->Flush()) {
-      PeerConnDown(s);
-      return;
+void CacheServerDaemon::FlushRound() {
+  // One write per conn with queued output; POLLOUT stays armed only
+  // where a short write left bytes behind.
+  for (auto it = conns_.begin(); it != conns_.end();) {
+    const int fd = it->first;
+    FrameConn& c = *it->second;
+    ++it;  // DropConn erases only fd's own entry
+    if (!c.want_write()) continue;
+    NoteOutboxPeak(c);
+    if (!c.Flush()) {
+      DropConn(fd);
+      continue;
     }
-    UpdatePeerWriteInterest(s);
-  });
+    loop_.SetWriteInterest(fd, c.want_write());
+  }
+  for (int s = 0; s < config_.server_count; ++s) {
+    PeerLink& link = peers_[static_cast<std::size_t>(s)];
+    if (!link.conn || !link.conn->want_write()) continue;
+    NoteOutboxPeak(*link.conn);
+    if (link.st != PeerLink::St::kLive) continue;  // corked
+    if (!link.conn->Flush()) {
+      PeerConnDown(s);
+      continue;
+    }
+    loop_.SetWriteInterest(link.conn->fd(), link.conn->want_write());
+  }
 }
 
 void CacheServerDaemon::CancelPeerTimer(int s) {
@@ -540,7 +513,6 @@ void CacheServerDaemon::GossipTick() {
   FrameConn* peer = ConnTo(target);
   peer->Send(g);
   registry_.Add(reg_gossip_sent_, 1);
-  UpdatePeerWriteInterest(target);
 }
 
 void CacheServerDaemon::NoteOutboxPeak(const FrameConn& c) {

@@ -19,6 +19,8 @@
 //     failed attempt schedules a retry under the same counter-hash
 //     dither law as serving backoff (1 ms slots), so every daemon's
 //     reconnect schedule is a pure function of (server pair, attempt).
+//   * A conn that sends byte-garbage is poisoned and dropped alone
+//     (FrameConn::poisoned); the daemon keeps serving everyone else.
 //   * A forward that would push a peer conn's outbox past the
 //     watermark is shed into the failover path: the origin gets a
 //     synthesized kDropped reply and netd.shed_forwards counts it; the
@@ -62,9 +64,9 @@ class CacheServerDaemon {
  private:
   // Outgoing peer connection lifecycle: kIdle (no socket) ->
   // kConnecting (non-blocking connect or backoff wait; conn corked) ->
-  // kLive (uncorked, flushing).  A live conn that dies goes back to
-  // kIdle with its outbox discarded (a partial frame may have left, so
-  // the queue cannot be replayed); the next forward reconnects.
+  // kLive (uncorked, flushed by FlushRound).  A live conn that dies goes
+  // back to kIdle with its outbox discarded (a partial frame may have
+  // left, so the queue cannot be replayed); the next forward reconnects.
   struct PeerLink {
     enum class St : std::uint8_t { kIdle, kConnecting, kLive };
     St st = St::kIdle;
@@ -77,7 +79,8 @@ class CacheServerDaemon {
   void OnAcceptable();
   void AdoptConn(int fd);
   void DropConn(int fd);
-  void UpdateWriteInterest(int fd);
+  // The loop's round-end step: one Flush per conn with queued output.
+  void FlushRound();
   void OnFrame(int from_fd, const WireMessage& msg);
   void DispatchFrame(int from_fd, const WireMessage& msg);
   void HandleRequest(int from_fd, const GetRequest& req);
@@ -90,7 +93,6 @@ class CacheServerDaemon {
   void FinishConnect(int s);    // uncork, watch, flush
   void ConnectFailed(int s);    // park + counter-hash backoff retry
   void PeerConnDown(int s);     // a live peer conn died
-  void UpdatePeerWriteInterest(int s);
   void CancelPeerTimer(int s);
   // Dither-phased retry delay in ms for attempt `attempt` to server `s`
   // — same hash law as serving backoff, 1 ms slots.

@@ -24,7 +24,7 @@ void EventLoop::WatchRead(int fd, IoCallback on_readable) {
 void EventLoop::SetWriteInterest(int fd, bool on, IoCallback on_writable) {
   Watch& w = watches_[fd];
   w.want_write = on;
-  if (on_writable) w.on_writable = std::move(on_writable);
+  w.on_writable = std::move(on_writable);
 }
 
 void EventLoop::Unwatch(int fd) { watches_.erase(fd); }
@@ -117,6 +117,9 @@ void EventLoop::AdvanceWheel() {
 
 int EventLoop::Run() {
   running_ = true;
+  // Frames queued before Run (hellos, first sends) go out before the
+  // first sleep.
+  if (round_end_) round_end_();
   std::vector<pollfd> fds;
   std::vector<int> order;
   while (running_) {
@@ -141,18 +144,14 @@ int EventLoop::Run() {
       timeout = watches_.empty() ? 10 : kIdleTimeoutMs;
     const int n = ::poll(fds.data(), fds.size(), timeout);
     // One "poll iteration" is everything between poll(2) returning and
-    // the loop sleeping again: the wheel catch-up plus every ready-fd
-    // dispatch.  Its duration is the stall a peer frame can experience
-    // behind this process, hence the max-stall gauge.
+    // the loop sleeping again: the wheel catch-up, every ready-fd
+    // dispatch and the round-end flush.  Its duration is the stall a
+    // peer frame can experience behind this process, hence the
+    // max-stall gauge.
     const std::uint64_t iter_start =
         sink_.clock != nullptr ? sink_.clock->NowNanos() : 0;
     AdvanceWheel();
-    if (!running_) break;
-    if (n <= 0) {
-      RecordIteration(iter_start);
-      continue;
-    }
-    for (std::size_t i = 0; i < fds.size(); ++i) {
+    for (std::size_t i = 0; running_ && n > 0 && i < fds.size(); ++i) {
       if (fds[i].revents == 0) continue;
       // The callback may Unwatch any fd (including its own); re-check
       // registration before each dispatch.
@@ -168,8 +167,9 @@ int EventLoop::Run() {
             it->second.on_writable)
           it->second.on_writable();
       }
-      if (!running_) break;
     }
+    // Runs after a Stop() too: whatever this round queued still leaves.
+    if (round_end_) round_end_();
     RecordIteration(iter_start);
   }
   return stop_code_;

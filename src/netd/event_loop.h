@@ -1,16 +1,23 @@
 // EventLoop — the portable poll(2) dispatcher under every netd process.
 //
-// One thread, non-blocking sockets, two primitives:
+// One thread, non-blocking sockets, three primitives:
 //
 //   * fd readiness: WatchRead registers a callback fired whenever the fd
-//     is readable (or hung up); SetWriteInterest toggles POLLOUT for fds
-//     with queued output, so an idle connection costs nothing.
+//     is readable (or hung up); SetWriteInterest toggles POLLOUT, armed
+//     only for fds a flush could not drain (or a connect in flight), so
+//     an idle connection costs nothing.
 //   * a hashed timer wheel: kWheelSlots slots of kTickMs each, one-shot
 //     timers hashed into (now + delay) % slots with a rounds counter for
 //     delays past one revolution.  O(1) insert/cancel, O(due) per tick —
 //     the classic Varghese–Lauck structure.  The daemons run their gossip
 //     cadence on it; the loadgen refreshes its injection token bucket
 //     from it.
+//   * the round-end step (SetRoundEnd): one owner callback run once per
+//     poll round, after timers and ready fds are dispatched and before
+//     the next poll (and once before the first).  The netd owners flush
+//     every conn with queued output there, so all frames a round queues
+//     on one conn leave in one write(2) — FrameConn::Send only queues.
+//     A short write arms POLLOUT; the wake-up is just another round.
 //
 // The loop is deliberately poll-based, not epoll: the netd fleet is a
 // handful of sockets per process, portability beats scalability, and the
@@ -49,9 +56,13 @@ class EventLoop {
   // The callback must drain the fd; it is invoked again on the next poll
   // round while data remains.
   void WatchRead(int fd, IoCallback on_readable);
-  // Fires `on_writable` whenever fd accepts more output; cleared by
-  // SetWriteInterest(fd, false) once the send buffer drains.
+  // Toggles POLLOUT for fd and replaces its writable callback (none: the
+  // wake-up alone matters, the round-end step does the writing).
   void SetWriteInterest(int fd, bool on, IoCallback on_writable = nullptr);
+  // Installs the step run at the end of every poll round (replacing any
+  // previous one).  It runs inside the round's timing window, so its
+  // writes count toward the stall gauges.
+  void SetRoundEnd(IoCallback step) { round_end_ = std::move(step); }
   // Drops all interest in fd (does not close it).
   void Unwatch(int fd);
 
@@ -103,6 +114,7 @@ class EventLoop {
   std::size_t active_timers_ = 0;
   bool running_ = false;
   int stop_code_ = 0;
+  IoCallback round_end_;
   LatencySink sink_;
 };
 

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 #include "util/check.h"
 
@@ -53,7 +54,7 @@ void LoadgenClient::ConnectOne(int s) {
     rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
   } while (rc < 0 && errno == EINTR);
   WEBWAVE_REQUIRE(rc == 0, "connect() to a daemon failed");
-  MakeNonBlocking(fd);
+  SetUpSocket(fd);
   conns_[static_cast<std::size_t>(s)] = std::make_unique<FrameConn>(fd);
   loop_.WatchRead(fd, [this, s] {
     FrameConn* c = conns_[static_cast<std::size_t>(s)].get();
@@ -69,7 +70,6 @@ void LoadgenClient::ConnectOne(int s) {
   hello.kind = PeerKind::kLoadgen;
   hello.sender = 0;
   conns_[static_cast<std::size_t>(s)]->Send(hello);
-  UpdateWriteInterest(s);
 }
 
 void LoadgenClient::DropServerConn(int s) {
@@ -114,7 +114,6 @@ void LoadgenClient::TrySend() {
     const int s = OwnerMap()[static_cast<std::size_t>(r.node)];
     sent_ns_[next_] = clock_.NowNanos();
     conns_[static_cast<std::size_t>(s)]->Send(g);
-    UpdateWriteInterest(s);
     ++next_;
     ++in_flight_;
     --tokens_;
@@ -311,7 +310,6 @@ void LoadgenClient::StartScrape() {
   for (int s = 0; s < config_.server_count; ++s) {
     if (!live_[static_cast<std::size_t>(s)]) continue;
     conns_[static_cast<std::size_t>(s)]->SendControl(MsgType::kStatsRequest);
-    UpdateWriteInterest(s);
   }
 }
 
@@ -339,7 +337,6 @@ void LoadgenClient::BeginBoundary() {
           MsgType::kTraceRequest);
     conns_[static_cast<std::size_t>(s)]->SendControl(
         MsgType::kFlightRequest);
-    UpdateWriteInterest(s);
   }
 }
 
@@ -375,29 +372,34 @@ void LoadgenClient::DoKillsAndRestarts() {
 void LoadgenClient::ShipEpoch() {
   const std::size_t e = epoch_ + 1;
   const NetdEpoch& ep = config_.epochs[e];
-  const std::vector<OwnerDelta> reassign = OwnerDiff(config_.owner, ep.owner);
+  EpochUpdate up;
+  up.epoch = static_cast<std::uint32_t>(e);
+  up.down = ep.down;
+  up.reassign = OwnerDiff(config_.owner, ep.owner);
+  // Each daemon's delta starts from whatever table it actually has —
+  // the previous epoch for survivors, the boot table for a rejoiner — so
+  // one diff per distinct base epoch serves every daemon on it.
+  std::vector<std::pair<std::uint32_t, QuotaDelta>> deltas;
   for (int s = 0; s < config_.server_count; ++s) {
     if (!live_[static_cast<std::size_t>(s)]) continue;
-    // Each daemon's delta starts from whatever table it actually has —
-    // the previous epoch for survivors, the boot table for a rejoiner.
-    QuotaDelta delta;
-    WEBWAVE_REQUIRE(
-        QuotaWireTable::DiffSnapshots(
-            Snap(server_epoch_[static_cast<std::size_t>(s)]), Snap(e),
-            &delta),
-        "epoch snapshots must be diffable");
-    delta.epoch = static_cast<std::uint32_t>(e);
-    EpochUpdate up;
-    up.epoch = static_cast<std::uint32_t>(e);
-    up.down = ep.down;
-    up.reassign = reassign;
+    const std::uint32_t base = server_epoch_[static_cast<std::size_t>(s)];
+    auto d = std::find_if(deltas.begin(), deltas.end(),
+                          [base](const auto& bd) { return bd.first == base; });
+    if (d == deltas.end()) {
+      QuotaDelta delta;
+      WEBWAVE_REQUIRE(
+          QuotaWireTable::DiffSnapshots(Snap(base), Snap(e), &delta),
+          "epoch snapshots must be diffable");
+      delta.epoch = static_cast<std::uint32_t>(e);
+      deltas.emplace_back(base, std::move(delta));
+      d = deltas.end() - 1;
+    }
     FrameConn* c = conns_[static_cast<std::size_t>(s)].get();
-    c->Send(delta);
+    c->Send(d->second);
     c->Send(up);
     // FIFO barrier: the stats reply acknowledges that both control
     // frames above were applied before any epoch-e request arrives.
     c->SendControl(MsgType::kStatsRequest);
-    UpdateWriteInterest(s);
     server_epoch_[static_cast<std::size_t>(s)] =
         static_cast<std::uint32_t>(e);
   }
@@ -423,7 +425,6 @@ void LoadgenClient::BeginFinalStats() {
   for (int s = 0; s < config_.server_count; ++s) {
     if (!live_[static_cast<std::size_t>(s)]) continue;
     conns_[static_cast<std::size_t>(s)]->SendControl(MsgType::kStatsRequest);
-    UpdateWriteInterest(s);
   }
 }
 
@@ -432,7 +433,6 @@ void LoadgenClient::BeginTraceDump() {
   for (int s = 0; s < config_.server_count; ++s) {
     if (!live_[static_cast<std::size_t>(s)]) continue;
     conns_[static_cast<std::size_t>(s)]->SendControl(MsgType::kTraceRequest);
-    UpdateWriteInterest(s);
   }
 }
 
@@ -441,7 +441,6 @@ void LoadgenClient::BeginFlightDump() {
   for (int s = 0; s < config_.server_count; ++s) {
     if (!live_[static_cast<std::size_t>(s)]) continue;
     conns_[static_cast<std::size_t>(s)]->SendControl(MsgType::kFlightRequest);
-    UpdateWriteInterest(s);
   }
 }
 
@@ -457,16 +456,18 @@ void LoadgenClient::Shutdown() {
   loop_.Stop(0);
 }
 
-void LoadgenClient::UpdateWriteInterest(int server) {
-  FrameConn* c = conns_[static_cast<std::size_t>(server)].get();
-  if (c == nullptr) return;
-  const int fd = c->fd();
-  loop_.SetWriteInterest(fd, c->want_write(), [this, server] {
-    FrameConn* c2 = conns_[static_cast<std::size_t>(server)].get();
-    if (c2 == nullptr) return;
-    c2->Flush();
-    UpdateWriteInterest(server);
-  });
+void LoadgenClient::FlushRound() {
+  // One write per conn with queued output — a whole tick's requests to
+  // one daemon leave together; POLLOUT only after a short write.
+  for (const auto& c : conns_) {
+    if (!c || !c->want_write()) continue;
+    if (!c->Flush() && !shutdown_sent_) {
+      failed_ = true;  // a daemon died under us, unscheduled
+      loop_.Stop(1);
+      return;
+    }
+    loop_.SetWriteInterest(c->fd(), c->want_write());
+  }
 }
 
 const QuotaSnapshot& LoadgenClient::Snap(std::size_t epoch) {
@@ -509,6 +510,7 @@ bool LoadgenClient::Run(NetdRunResult* result) {
   epoch_end_ = config_.epochs.empty() ? config_.total_requests
                                       : config_.epochs[0].requests;
   window_cur_ = static_cast<std::uint64_t>(config_.window);
+  loop_.SetRoundEnd([this] { FlushRound(); });
   ConnectAll();
   ScheduleRefill();
   if (config_.stats_scrape_period_ms > 0) ScheduleScrape();

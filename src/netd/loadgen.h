@@ -4,7 +4,9 @@
 // req_id = i, and sent to the daemon owning its origin node.  Pacing is
 // a token bucket refilled from the event loop's timer wheel
 // (tokens_per_tick per tick) under an in-flight window, so the socket
-// buffers stay bounded no matter how large the stream is.  When every
+// buffers stay bounded no matter how large the stream is.  Sends only
+// queue: the loop's round-end step flushes each daemon's conn once, so
+// a tick's requests to one daemon leave in one write.  When every
 // reply is in, the client collects each daemon's WireCounters via
 // kStatsRequest (and, when tracing, each daemon's TraceEvent stream via
 // kTraceRequest) and shuts the fleet down with kShutdown frames.
@@ -92,7 +94,8 @@ class LoadgenClient {
   void TrySend();
   void AdaptWindow(double load);
   void OnFrame(int server, const WireMessage& msg);
-  void UpdateWriteInterest(int server);
+  // The loop's round-end step: one Flush per conn with queued output.
+  void FlushRound();
   // Mid-run scraping: a repeating timer fires StartScrape, which issues
   // one kStatsRequest round unless one is already in flight (or the run
   // has moved to its final phases / an epoch boundary).

@@ -5,7 +5,9 @@
 //   * EventLoop — the timer wheel fires in delay order (including delays
 //     past one wheel revolution) and CancelTimer really cancels.
 //   * FrameConn — frames survive a real socketpair byte stream, however
-//     the kernel slices it.
+//     the kernel slices it; Send only queues and one Flush is one
+//     write(2); byte-garbage poisons the conn instead of the process;
+//     every TCP socket has Nagle off.
 //   * Segment fleet == oracle — the load-bearing theorem: K segment
 //     planes fed the stream by explicit message routing accumulate
 //     *identical* ServingMetrics (every counter, every vector) to one
@@ -17,9 +19,14 @@
 
 #include <unistd.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/wait.h>
 
 #include <csignal>
+#include <exception>
 #include <vector>
 
 #include "doc/catalog.h"
@@ -242,11 +249,46 @@ TEST(NetdEventLoop, NextTimerDelayTracksTheNearestDeadline) {
   EXPECT_LE(d, 60);
 }
 
+// The round-end step runs before the first poll and after each round's
+// timers and ready fds, so the frames one timer queues leave in that
+// round's single flush.
+TEST(NetdEventLoop, RoundEndFlushesWhatTheRoundQueued) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  SetUpSocket(fds[0]);
+  SetUpSocket(fds[1]);
+  FrameConn a(fds[0]);
+  FrameConn b(fds[1]);
+  EventLoop loop;
+  int rounds = 0;
+  loop.SetRoundEnd([&] {
+    ++rounds;
+    ASSERT_TRUE(a.Flush());
+  });
+  loop.AddTimer(0, [&] {
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      GetRequest req;
+      req.req_id = i;
+      a.Send(req);
+    }
+  });
+  std::vector<WireMessage> got;
+  loop.WatchRead(b.fd(), [&] {
+    ASSERT_TRUE(b.OnReadable([&](const WireMessage& m) { got.push_back(m); }));
+    if (got.size() == 3) loop.Stop(5);
+  });
+  EXPECT_EQ(loop.Run(), 5);
+  ASSERT_EQ(got.size(), 3u);
+  for (std::uint64_t i = 0; i < 3; ++i) EXPECT_EQ(got[i].get.req_id, i);
+  EXPECT_EQ(a.write_calls(), 1u);
+  EXPECT_GE(rounds, 3);  // before the first poll, the timer's, the read's
+}
+
 TEST(NetdFrameConn, FramesSurviveASocketpairStream) {
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  MakeNonBlocking(fds[0]);
-  MakeNonBlocking(fds[1]);
+  SetUpSocket(fds[0]);
+  SetUpSocket(fds[1]);
   FrameConn a(fds[0]);
   FrameConn b(fds[1]);
 
@@ -262,6 +304,7 @@ TEST(NetdFrameConn, FramesSurviveASocketpairStream) {
   a.Send(req);
   a.Send(gossip);
   a.SendControl(MsgType::kStatsRequest);
+  ASSERT_TRUE(a.Flush());  // Send only queues; the owner's loop flushes
 
   std::vector<WireMessage> got;
   while (got.size() < 3)
@@ -281,7 +324,7 @@ TEST(NetdFrameConn, PeerCloseMidFrameIsACleanConnDown) {
   std::signal(SIGPIPE, SIG_IGN);
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  MakeNonBlocking(fds[1]);
+  SetUpSocket(fds[1]);
   FrameConn reader(fds[1]);
 
   GetRequest req;
@@ -317,13 +360,14 @@ TEST(NetdFrameConn, WriteToDeadPeerClosesInsteadOfCrashing) {
   std::signal(SIGPIPE, SIG_IGN);
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  MakeNonBlocking(fds[0]);
+  SetUpSocket(fds[0]);
   FrameConn writer(fds[0]);
   ::close(fds[1]);
 
   GetRequest req;
   req.req_id = 4;
-  writer.Send(req);  // Send flushes opportunistically and eats the EPIPE
+  writer.Send(req);  // queues only
+  EXPECT_FALSE(writer.Flush());  // the flush eats the EPIPE
   EXPECT_TRUE(writer.closed());
   EXPECT_FALSE(writer.Flush());
 }
@@ -334,8 +378,8 @@ TEST(NetdFrameConn, ShortWritesResumeMidFrame) {
   std::signal(SIGPIPE, SIG_IGN);
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  MakeNonBlocking(fds[0]);
-  MakeNonBlocking(fds[1]);
+  SetUpSocket(fds[0]);
+  SetUpSocket(fds[1]);
   FrameConn a(fds[0]);
   FrameConn b(fds[1]);
 
@@ -367,6 +411,107 @@ TEST(NetdFrameConn, ShortWritesResumeMidFrame) {
     ASSERT_EQ(got[0].trace[i], events[i]) << "record " << i;
   EXPECT_EQ(a.outbox_bytes(), 0u);
   EXPECT_GT(a.outbox_peak(), std::size_t{1} << 17);
+}
+
+// The coalescing contract: Send never touches the socket, and one Flush
+// of k queued frames is exactly one write(2) the peer cuts back into the
+// same k frames, in order.
+TEST(NetdFrameConn, KSendsThenOneFlushIsOneWrite) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  SetUpSocket(fds[0]);
+  SetUpSocket(fds[1]);
+  FrameConn a(fds[0]);
+  FrameConn b(fds[1]);
+
+  constexpr std::uint64_t kFrames = 80;  // one fleet-paced wheel tick
+  for (std::uint64_t i = 0; i < kFrames; ++i) {
+    GetRequest req;
+    req.req_id = i;
+    req.doc = static_cast<DocId>(i % 5);
+    req.origin_node = static_cast<NodeId>(i % 17);
+    a.Send(req);
+  }
+  EXPECT_EQ(a.write_calls(), 0u);
+  EXPECT_TRUE(a.want_write());
+  ASSERT_TRUE(a.Flush());
+  EXPECT_EQ(a.write_calls(), 1u);
+  EXPECT_FALSE(a.want_write());
+  EXPECT_EQ(a.outbox_bytes(), 0u);
+  ASSERT_TRUE(a.Flush());  // nothing queued: no syscall
+  EXPECT_EQ(a.write_calls(), 1u);
+
+  std::vector<WireMessage> got;
+  while (got.size() < kFrames)
+    ASSERT_TRUE(b.OnReadable([&](const WireMessage& m) { got.push_back(m); }));
+  ASSERT_EQ(got.size(), kFrames);
+  for (std::uint64_t i = 0; i < kFrames; ++i) {
+    ASSERT_EQ(got[i].type, MsgType::kGetRequest);
+    EXPECT_EQ(got[i].get.req_id, i);
+    EXPECT_EQ(got[i].get.origin_node, static_cast<NodeId>(i % 17));
+  }
+}
+
+// Byte-garbage is a conn-down, not a crash: the frames decoded before it
+// are delivered, OnReadable reports false, and the conn is poisoned.
+TEST(NetdFrameConn, GarbagePoisonsTheConnInsteadOfThrowing) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  SetUpSocket(fds[1]);
+  FrameConn reader(fds[1]);
+
+  GetRequest req;
+  req.req_id = 21;
+  req.doc = 2;
+  req.origin_node = 5;
+  std::vector<std::uint8_t> bytes;
+  MessageCodec::Encode(req, &bytes);
+  bytes.insert(bytes.end(), 64, 0xEE);  // bad magic: undecodable
+  ASSERT_EQ(::write(fds[0], bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
+
+  std::vector<WireMessage> got;
+  EXPECT_FALSE(
+      reader.OnReadable([&](const WireMessage& m) { got.push_back(m); }));
+  EXPECT_TRUE(reader.poisoned());
+  EXPECT_TRUE(reader.closed());
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].get, req);
+  ::close(fds[0]);
+}
+
+int NoDelay(int fd) {
+  int on = -1;
+  socklen_t len = sizeof on;
+  EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on, &len), 0);
+  return on;
+}
+
+// Nagle is off on both ends of a real loopback TCP connection once the
+// shared socket-setup helper has run — the accepting side (a daemon's
+// incoming conns) and the connecting side (loadgen and peer links).
+TEST(NetdFrameConn, SetUpSocketTurnsNagleOffOnBothTcpEnds) {
+  std::uint16_t port = 0;
+  const int listen_fd = ListenLoopback(&port);
+  const int client = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(client, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(client, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+            0);
+  const int server = ::accept(listen_fd, nullptr, nullptr);
+  ASSERT_GE(server, 0);
+  EXPECT_EQ(NoDelay(client), 0);  // the kernel default: Nagle on
+  EXPECT_EQ(NoDelay(server), 0);
+  SetUpSocket(client);
+  SetUpSocket(server);
+  EXPECT_EQ(NoDelay(client), 1);
+  EXPECT_EQ(NoDelay(server), 1);
+  ::close(server);
+  ::close(client);
+  ::close(listen_fd);
 }
 
 TEST(NetdSegments, FleetOfSegmentPlanesMatchesOracleExactly) {
@@ -665,6 +810,85 @@ TEST(NetdCluster, TinyWatermarkShedsForwardsIntoDrops) {
   EXPECT_GT(run.fleet.shed_forwards, 0u);
   EXPECT_EQ(run.client_served + run.client_dropped, c.config.total_requests);
   EXPECT_GT(run.client_dropped, 0u);
+}
+
+// A hostile peer loses its own connection and nothing else.  A client
+// writes byte-garbage at daemon 0 — the root's owner, on every walk's
+// path — and the daemon drops that conn (the client reads EOF) while it
+// stays up; a well-behaved loadgen then runs the whole stream through
+// the same fleet and matches the oracle.
+TEST(NetdCluster, GarbagePeerIsDroppedWhileTheFleetServesOn) {
+  std::signal(SIGPIPE, SIG_IGN);
+  const Cluster c = MakeCluster(200, 8, 2, 5000);
+  const int servers = c.config.server_count;
+  std::vector<int> listen_fds(static_cast<std::size_t>(servers));
+  std::vector<std::uint16_t> ports(static_cast<std::size_t>(servers));
+  for (int s = 0; s < servers; ++s)
+    listen_fds[static_cast<std::size_t>(s)] =
+        ListenLoopback(&ports[static_cast<std::size_t>(s)]);
+  std::vector<pid_t> pids;
+  for (int s = 0; s < servers; ++s) {
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      for (int t = 0; t < servers; ++t)
+        if (t != s) ::close(listen_fds[static_cast<std::size_t>(t)]);
+      // A daemon that throws must die here, not unwind into the test.
+      try {
+        CacheServerDaemon daemon(c.config, s,
+                                 listen_fds[static_cast<std::size_t>(s)],
+                                 ports);
+        ::_exit(daemon.Run());
+      } catch (...) {
+        ::_exit(1);
+      }
+    }
+    pids.push_back(pid);
+  }
+  // Only the daemons hold their listen sockets: if one dies, connects to
+  // it are refused and the loadgen fails fast instead of timing out.
+  for (const int fd : listen_fds) ::close(fd);
+
+  const int bad = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(bad, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(ports[0]);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(bad, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  const std::vector<std::uint8_t> garbage(64, 0xEE);
+  ASSERT_EQ(::write(bad, garbage.data(), garbage.size()),
+            static_cast<ssize_t>(garbage.size()));
+  timeval tv{};
+  tv.tv_sec = 10;  // bounds the wait if the conn is never dropped
+  ::setsockopt(bad, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  char byte = 0;
+  EXPECT_EQ(::read(bad, &byte, 1), 0) << "garbage conn was not dropped";
+  ::close(bad);
+
+  NetdRunResult run;
+  bool ok = false;
+  try {
+    LoadgenClient loadgen(c.config, ports);
+    ok = loadgen.Run(&run);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << e.what();  // e.g. the attacked daemon refused us
+  }
+  for (const pid_t pid : pids) {
+    if (!ok) ::kill(pid, SIGKILL);  // never leave a daemon behind
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    if (ok) {
+      EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    }
+  }
+  ASSERT_TRUE(ok);
+  const ServingMetrics oracle = ReplayOracle(c.config);
+  EXPECT_TRUE(ServingCountersEqual(SumCounters(run.per_server),
+                                   CountersFromMetrics(oracle)));
+  EXPECT_EQ(run.client_served + run.client_dropped, c.config.total_requests);
+  EXPECT_EQ(run.client_hop_sum, oracle.hop_sum);
+  EXPECT_GT(SumCounters(run.per_server).net_forwards, 0u);
 }
 
 }  // namespace
