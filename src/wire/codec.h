@@ -1,5 +1,5 @@
-// MessageCodec — the fixed-width, explicitly little-endian framing of
-// the wire/message.h vocabulary.
+// MessageCodec — the explicitly little-endian framing of the
+// wire/message.h vocabulary.
 //
 // Every frame is an 8-byte header followed by a payload whose length the
 // header states:
@@ -10,13 +10,18 @@
 //   3       1     MsgType
 //   4       4     payload length in bytes (u32)
 //
-// Data-plane payloads are fixed width per type (24 B GetRequest, 32 B
-// GetReply, 16 B LoadGossip); a length that disagrees with the type is
-// garbage, not a negotiation.  The one variable-length frame is
-// kTraceReply — a u32 record count followed by count 24 B TraceEvent
-// records, the stated length validated against the count.  All multi-byte fields are little-endian
-// byte by byte — the codec's output is identical on any host, and a
-// big-endian peer would interoperate unmodified.  Doubles travel as
+// Each payload is described once, as a field list in codec.cpp; encode,
+// decode and the decoder's checks are all derived from it.  The data-plane
+// payloads and Hello are fixed width (24 B GetRequest, 32 B GetReply,
+// 16 B LoadGossip, 12 B Hello) and the control requests are empty.  Five
+// frames are variable length, built from u32 count-prefixed arrays:
+// kStatsReply (counters plus an optional histogram section), kTraceReply,
+// kFlightReply, kQuotaDelta and kEpochUpdate.  Every array has a cap, its
+// count must fit in the bytes that remain, and keyed arrays ascend
+// strictly.  A stated length outside the type's plausible band is kError
+// as soon as the header is complete.  All multi-byte fields are
+// little-endian byte by byte — the codec's output is identical on any
+// host, and a big-endian peer would interoperate unmodified.  Doubles travel as
 // their IEEE-754 bit pattern in a u64, so round-trips are bit-exact
 // (NaN payloads included), which is what lets the socket deployment be
 // validated counter-for-counter against the in-process oracle.
@@ -30,15 +35,17 @@
 //
 // Decode distinguishes "incomplete" from "wrong": a prefix of a valid
 // frame is kNeedMore (stream transports read more bytes), while a bad
-// magic, unknown version or type, or a type/length mismatch is kError
-// (the connection is byte-garbage and must be dropped).  wire_test
-// asserts every strict prefix of every encoded frame is kNeedMore and
-// every header corruption is kError.
+// magic, unknown version or type, a type/length mismatch or a payload
+// that breaks its description is kError (the connection is byte-garbage
+// and must be dropped).  wire_test asserts every strict prefix of every
+// encoded frame is kNeedMore, every header corruption is kError, and
+// that a kOk decode re-encodes to the same bytes.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "wire/message.h"
@@ -46,39 +53,29 @@
 namespace webwave {
 
 // Little-endian primitives (byte-by-byte: host-endianness-independent).
-inline void PutU16(std::uint8_t* p, std::uint16_t v) {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-}
-inline void PutU32(std::uint8_t* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-inline void PutU64(std::uint8_t* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-inline void PutF64(std::uint8_t* p, double v) {
+// A scalar travels in its own width, a double as its IEEE-754 u64 bits.
+template <class T>
+void PutLE(std::uint8_t* p, T v) {
   std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  PutU64(p, bits);
+  if constexpr (std::is_floating_point_v<T>) {
+    std::memcpy(&bits, &v, sizeof bits);
+  } else {
+    bits = static_cast<std::uint64_t>(v);
+  }
+  for (std::size_t i = 0; i < sizeof(T); ++i)
+    p[i] = static_cast<std::uint8_t>(bits >> (8 * i));
 }
-inline std::uint16_t GetU16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-inline std::uint32_t GetU32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-inline std::uint64_t GetU64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-inline double GetF64(const std::uint8_t* p) {
-  const std::uint64_t bits = GetU64(p);
-  double v;
-  std::memcpy(&v, &bits, sizeof v);
-  return v;
+template <class T>
+T GetLE(const std::uint8_t* p) {
+  std::uint64_t bits = 0;
+  for (std::size_t i = sizeof(T); i-- > 0;) bits = (bits << 8) | p[i];
+  if constexpr (std::is_floating_point_v<T>) {
+    T v;
+    std::memcpy(&v, &bits, sizeof v);
+    return v;
+  } else {
+    return static_cast<T>(bits);
+  }
 }
 
 class MessageCodec {
@@ -104,8 +101,8 @@ class MessageCodec {
   static constexpr std::size_t kLoadGossipSize = 16;
   static constexpr std::size_t kHelloSize = 12;
   static constexpr std::size_t kCountersSize = 104;
-  // kTraceReply is the one variable-length frame: a u32 record count
-  // followed by count fixed-width TraceEvent records.
+  // kTraceReply: a u32 record count followed by count fixed-width
+  // TraceEvent records.
   static constexpr std::size_t kTraceEventSize = 24;
   static constexpr std::size_t kMaxTraceRecords = 1u << 20;
   // kQuotaDelta framing: a 16 B prologue (epoch, row count, total rate),
@@ -136,9 +133,8 @@ class MessageCodec {
   static std::size_t Encode(const GetReply& m, std::vector<std::uint8_t>* out);
   static std::size_t Encode(const LoadGossip& m, std::vector<std::uint8_t>* out);
   static std::size_t Encode(const Hello& m, std::vector<std::uint8_t>* out);
-  static std::size_t Encode(const WireCounters& m,
-                            std::vector<std::uint8_t>* out);
-  // kStatsReply with the v4 histogram section appended to the counters.
+  // kStatsReply: the counters, then the v4 histogram section iff
+  // m.hist.present.
   static std::size_t Encode(const StatsReply& m,
                             std::vector<std::uint8_t>* out);
   // kFlightReply: the daemon's flight-recorder ring.
@@ -159,7 +155,7 @@ class MessageCodec {
   enum class DecodeStatus {
     kOk,        // *out holds the frame, *consumed its total size
     kNeedMore,  // a valid prefix of a frame; read more bytes
-    kError,     // garbage: bad magic/version/type or type-length mismatch
+    kError,     // garbage: bad header, implausible length or bad payload
   };
 
   // Decodes the first complete frame of [data, data+len).

@@ -22,8 +22,8 @@
 // downstream caches learn load without a discovery protocol, exactly
 // the "no query traffic" stance the paper takes against ICP.
 //
-// The encoding (fixed-width, explicitly little-endian) lives in
-// wire/codec.h; this header is pure vocabulary with no I/O.
+// The encoding (explicitly little-endian, one field list per payload)
+// lives in wire/codec.h; this header is pure vocabulary with no I/O.
 #pragma once
 
 #include <cstdint>
@@ -212,7 +212,8 @@ struct WireHistogram {
 
 // The full v4 kStatsReply: counters plus the daemon's request
 // service-time histogram.  Encode(StatsReply) emits the histogram
-// section; Encode(WireCounters) keeps emitting the bare 104 B form.
+// section iff hist.present, so StatsReply{counters, {}} is the bare
+// 104 B form.
 struct StatsReply {
   WireCounters counters;
   WireHistogram hist;

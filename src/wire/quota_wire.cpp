@@ -25,42 +25,48 @@ std::size_t QuotaWireTable::Serialize(const QuotaSnapshot& snapshot,
   const std::size_t base = out->size();
   out->resize(base + total);
   std::uint8_t* p = out->data() + base;
-  PutU32(p, kMagic);
-  PutU32(p + 4, kVersion);
-  PutU32(p + 8, static_cast<std::uint32_t>(nodes));
-  PutU32(p + 12, static_cast<std::uint32_t>(snapshot.doc_count()));
-  PutU64(p + 16, static_cast<std::uint64_t>(cells));
-  PutF64(p + 24, snapshot.total_rate());
+  PutLE(p, kMagic);
+  PutLE(p + 4, kVersion);
+  PutLE(p + 8, static_cast<std::uint32_t>(nodes));
+  PutLE(p + 12, static_cast<std::uint32_t>(snapshot.doc_count()));
+  PutLE(p + 16, static_cast<std::uint64_t>(cells));
+  PutLE(p + 24, snapshot.total_rate());
   p += kFixedHeader;
   for (int v = 0; v <= nodes; ++v, p += 8)
-    PutU64(p, static_cast<std::uint64_t>(
-                  v == 0 ? 0 : snapshot.row_end(static_cast<NodeId>(v - 1))));
+    PutLE(p, static_cast<std::uint64_t>(
+                 v == 0 ? 0 : snapshot.row_end(static_cast<NodeId>(v - 1))));
   const std::int32_t* doc = snapshot.cell_docs();
   const double* rate = snapshot.cell_rates();
   const double* frac = snapshot.cell_fractions();
   for (std::int64_t c = 0; c < cells; ++c, p += 4)
-    PutU32(p, static_cast<std::uint32_t>(doc[c]));
-  for (std::int64_t c = 0; c < cells; ++c, p += 8) PutF64(p, rate[c]);
-  for (std::int64_t c = 0; c < cells; ++c, p += 8) PutF64(p, frac[c]);
+    PutLE(p, static_cast<std::uint32_t>(doc[c]));
+  for (std::int64_t c = 0; c < cells; ++c, p += 8) PutLE(p, rate[c]);
+  for (std::int64_t c = 0; c < cells; ++c, p += 8) PutLE(p, frac[c]);
   return total;
 }
 
 bool QuotaWireTable::Deserialize(const std::uint8_t* data, std::size_t len,
                                  QuotaSnapshot* out) {
   if (len < kFixedHeader) return false;
-  if (GetU32(data) != kMagic || GetU32(data + 4) != kVersion) return false;
-  const std::int32_t nodes = static_cast<std::int32_t>(GetU32(data + 8));
-  const std::int32_t docs = static_cast<std::int32_t>(GetU32(data + 12));
-  const std::int64_t cells = static_cast<std::int64_t>(GetU64(data + 16));
+  if (GetLE<std::uint32_t>(data) != kMagic ||
+      GetLE<std::uint32_t>(data + 4) != kVersion)
+    return false;
+  const auto nodes = static_cast<std::int32_t>(GetLE<std::uint32_t>(data + 8));
+  const auto docs = static_cast<std::int32_t>(GetLE<std::uint32_t>(data + 12));
+  const auto cells = static_cast<std::int64_t>(GetLE<std::uint64_t>(data + 16));
   if (nodes < 0 || docs < 0 || cells < 0) return false;
+  // Bound the counts by len first, so BodySize cannot wrap.
+  if (static_cast<std::uint64_t>(nodes) >= len / 8 ||
+      static_cast<std::uint64_t>(cells) > len / (4 + 8 + 8))
+    return false;
   if (len != BodySize(nodes, cells)) return false;
-  const double total = GetF64(data + 24);
+  const double total = GetLE<double>(data + 24);
 
   const std::uint8_t* p = data + kFixedHeader;
   std::vector<std::int64_t> row_off(static_cast<std::size_t>(nodes) + 1);
   for (std::int32_t v = 0; v <= nodes; ++v, p += 8)
     row_off[static_cast<std::size_t>(v)] =
-        static_cast<std::int64_t>(GetU64(p));
+        static_cast<std::int64_t>(GetLE<std::uint64_t>(p));
   if (row_off[0] != 0 || row_off[static_cast<std::size_t>(nodes)] != cells)
     return false;
   for (std::int32_t v = 0; v < nodes; ++v)
@@ -70,7 +76,8 @@ bool QuotaWireTable::Deserialize(const std::uint8_t* data, std::size_t len,
 
   std::vector<std::int32_t> doc(static_cast<std::size_t>(cells));
   for (std::int64_t c = 0; c < cells; ++c, p += 4) {
-    doc[static_cast<std::size_t>(c)] = static_cast<std::int32_t>(GetU32(p));
+    doc[static_cast<std::size_t>(c)] =
+        static_cast<std::int32_t>(GetLE<std::uint32_t>(p));
     if (doc[static_cast<std::size_t>(c)] < 0 ||
         doc[static_cast<std::size_t>(c)] >= docs)
       return false;
@@ -86,10 +93,10 @@ bool QuotaWireTable::Deserialize(const std::uint8_t* data, std::size_t len,
 
   std::vector<double> rate(static_cast<std::size_t>(cells));
   for (std::int64_t c = 0; c < cells; ++c, p += 8)
-    rate[static_cast<std::size_t>(c)] = GetF64(p);
+    rate[static_cast<std::size_t>(c)] = GetLE<double>(p);
   std::vector<double> frac(static_cast<std::size_t>(cells));
   for (std::int64_t c = 0; c < cells; ++c, p += 8)
-    frac[static_cast<std::size_t>(c)] = GetF64(p);
+    frac[static_cast<std::size_t>(c)] = GetLE<double>(p);
 
   QuotaSnapshot s;
   s.nodes_ = nodes;
