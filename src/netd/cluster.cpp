@@ -249,74 +249,82 @@ NetdRunResult RunNetdCluster(const NetdClusterConfig& config) {
     listen_fds[static_cast<std::size_t>(s)] =
         ListenLoopback(&ports[static_cast<std::size_t>(s)]);
 
-  std::vector<pid_t> pids;
-  pids.reserve(static_cast<std::size_t>(config.server_count));
-  for (int s = 0; s < config.server_count; ++s) {
+  // Forks daemon s.  The child closes every other daemon's listen fd and
+  // the `inherited` loadgen sockets (or the fleet's EOFs would never
+  // fire), then runs to _exit: a throw kills it there instead of
+  // unwinding into the caller's copied stack, and _exit skips the
+  // parent's inherited atexit chain (gtest, stdio flushing).
+  const auto spawn = [&](int s, const std::vector<int>& inherited) {
     const pid_t pid = ::fork();
     WEBWAVE_REQUIRE(pid >= 0, "fork() failed");
-    if (pid == 0) {
+    if (pid > 0) return pid;
+    try {
       for (int t = 0; t < config.server_count; ++t)
         if (t != s) ::close(listen_fds[static_cast<std::size_t>(t)]);
+      for (const int fd : inherited) ::close(fd);
       CacheServerDaemon daemon(config, s,
                                listen_fds[static_cast<std::size_t>(s)],
                                ports);
-      // _exit, not exit: skip the parent's inherited atexit chain (gtest,
-      // stdio flushing) — the daemon's state is its counters, already
-      // reported over the wire.
       ::_exit(daemon.Run());
+    } catch (...) {
+      ::_exit(1);
     }
-    pids.push_back(pid);
-  }
+  };
   // The parent keeps every listen socket open for the whole run: a
   // restarted daemon re-forks onto the SAME fd (and port), and while a
   // daemon is dead the kernel backlog queues peer connects instead of
   // refusing them — the fleet rides out the outage with no port races.
-
-  NetdRunResult result;
-  LoadgenClient loadgen(config, ports);
-  loadgen.SetFaultHooks(
-      [&](int s) {
-        const pid_t pid = pids[static_cast<std::size_t>(s)];
-        WEBWAVE_REQUIRE(pid > 0, "killing a server that is not running");
-        ::kill(pid, SIGKILL);
-        int status = 0;
-        pid_t r;
-        do {
-          r = ::waitpid(pid, &status, 0);
-        } while (r < 0 && errno == EINTR);
-        WEBWAVE_REQUIRE(r == pid, "waitpid after SIGKILL failed");
-        pids[static_cast<std::size_t>(s)] = -1;
-      },
-      [&](int s, const std::vector<int>& loadgen_fds) {
-        WEBWAVE_REQUIRE(pids[static_cast<std::size_t>(s)] < 0,
-                        "restarting a server that is still running");
-        const pid_t pid = ::fork();
-        WEBWAVE_REQUIRE(pid >= 0, "fork() for restart failed");
-        if (pid == 0) {
-          for (int t = 0; t < config.server_count; ++t)
-            if (t != s) ::close(listen_fds[static_cast<std::size_t>(t)]);
-          // The child also inherited the loadgen's live sockets; close
-          // them or the fleet's EOFs would never fire.
-          for (const int fd : loadgen_fds) ::close(fd);
-          CacheServerDaemon daemon(config, s,
-                                   listen_fds[static_cast<std::size_t>(s)],
-                                   ports);
-          ::_exit(daemon.Run());
-        }
-        pids[static_cast<std::size_t>(s)] = pid;
-      });
-  bool ok = loadgen.Run(&result);
-
-  for (const pid_t pid : pids) {
-    if (pid < 0) continue;  // killed mid-run and already reaped
+  std::vector<pid_t> pids(static_cast<std::size_t>(config.server_count), -1);
+  // Reaps daemon s if it is still running, SIGKILLing it first when
+  // `kill` is set.  Returns its wait status (0 iff it exited cleanly on
+  // its own, or was already reaped), or -1 if waitpid failed.
+  const auto reap = [&](int s, bool kill) {
+    pid_t& pid = pids[static_cast<std::size_t>(s)];
+    if (pid < 0) return 0;  // killed mid-run and already reaped
+    if (kill) ::kill(pid, SIGKILL);
     int status = 0;
     pid_t r;
     do {
       r = ::waitpid(pid, &status, 0);
     } while (r < 0 && errno == EINTR);
-    ok = ok && r == pid && WIFEXITED(status) && WEXITSTATUS(status) == 0;
+    const bool reaped = r == pid;
+    pid = -1;
+    return reaped ? status : -1;
+  };
+  const auto reap_all = [&](bool kill) {
+    bool clean = true;
+    for (int s = 0; s < config.server_count; ++s)
+      clean = reap(s, kill) == 0 && clean;
+    for (const int fd : listen_fds) ::close(fd);
+    return clean;
+  };
+
+  NetdRunResult result;
+  bool ok = false;
+  try {
+    for (int s = 0; s < config.server_count; ++s)
+      pids[static_cast<std::size_t>(s)] = spawn(s, {});
+    LoadgenClient loadgen(config, ports);
+    loadgen.SetFaultHooks(
+        [&](int s) {
+          WEBWAVE_REQUIRE(pids[static_cast<std::size_t>(s)] > 0,
+                          "killing a server that is not running");
+          WEBWAVE_REQUIRE(reap(s, true) != -1,
+                          "waitpid after SIGKILL failed");
+        },
+        [&](int s, const std::vector<int>& loadgen_fds) {
+          WEBWAVE_REQUIRE(pids[static_cast<std::size_t>(s)] < 0,
+                          "restarting a server that is still running");
+          pids[static_cast<std::size_t>(s)] = spawn(s, loadgen_fds);
+        });
+    ok = loadgen.Run(&result);
+  } catch (...) {
+    reap_all(true);  // never leave a daemon behind
+    throw;
   }
-  for (const int fd : listen_fds) ::close(fd);
+  // A failed run (an unscheduled daemon death, the run timeout) sent no
+  // kShutdown, and daemons ignore loadgen EOF: kill them, do not wait.
+  ok = reap_all(!ok) && ok;
 
   // The fleet total includes daemons killed mid-run: their pre-kill
   // scrapes are exactly their final state (the boundary was quiesced),

@@ -255,6 +255,8 @@ int ListenLoopback(std::uint16_t* port);
 
 // Forks config.server_count daemons, runs the loadgen against them,
 // collects every daemon's counters, shuts the fleet down and reaps it.
+// A run that fails (ok = false) or throws first SIGKILLs every daemon
+// still running, so no child outlives the call.
 NetdRunResult RunNetdCluster(const NetdClusterConfig& config);
 
 }  // namespace webwave

@@ -21,6 +21,27 @@ constexpr int kRunTimeoutMs = 120000;
 // The load-reactive window never shrinks below this: progress must
 // continue even when every reply reports a hot shard.
 constexpr std::uint64_t kMinWindow = 16;
+
+Hello LoadgenHello() {
+  Hello hello;
+  hello.kind = PeerKind::kLoadgen;
+  hello.sender = 0;
+  return hello;
+}
+
+// The request a control reply answers (a Hello answers a Hello).
+MsgType Asked(MsgType reply) {
+  switch (reply) {
+    case MsgType::kStatsReply:
+      return MsgType::kStatsRequest;
+    case MsgType::kTraceReply:
+      return MsgType::kTraceRequest;
+    case MsgType::kFlightReply:
+      return MsgType::kFlightRequest;
+    default:
+      return reply;
+  }
+}
 }  // namespace
 
 LoadgenClient::LoadgenClient(const NetdClusterConfig& config,
@@ -34,7 +55,12 @@ LoadgenClient::LoadgenClient(const NetdClusterConfig& config,
 
 void LoadgenClient::ConnectAll() {
   conns_.resize(static_cast<std::size_t>(config_.server_count));
-  for (int s = 0; s < config_.server_count; ++s) ConnectOne(s);
+  // The initial handshake belongs to no round: its Hello replies land
+  // ahead of every other reply on their conn and are ignored.
+  for (int s = 0; s < config_.server_count; ++s) {
+    ConnectOne(s);
+    conns_[static_cast<std::size_t>(s)]->Send(LoadgenHello());
+  }
 }
 
 void LoadgenClient::ConnectOne(int s) {
@@ -66,10 +92,6 @@ void LoadgenClient::ConnectOne(int s) {
       loop_.Stop(1);
     }
   });
-  Hello hello;
-  hello.kind = PeerKind::kLoadgen;
-  hello.sender = 0;
-  conns_[static_cast<std::size_t>(s)]->Send(hello);
 }
 
 void LoadgenClient::DropServerConn(int s) {
@@ -86,6 +108,13 @@ std::vector<int> LoadgenClient::OpenConnFds() const {
   return fds;
 }
 
+std::vector<int> LoadgenClient::LiveServers() const {
+  std::vector<int> out;
+  for (int s = 0; s < config_.server_count; ++s)
+    if (live_[static_cast<std::size_t>(s)]) out.push_back(s);
+  return out;
+}
+
 void LoadgenClient::ScheduleRefill() {
   loop_.AddTimer(0, [this] {
     tokens_ = config_.tokens_per_tick;
@@ -95,7 +124,6 @@ void LoadgenClient::ScheduleRefill() {
 }
 
 void LoadgenClient::TrySend() {
-  if (boundary_ != Boundary::kNone) return;
   while (next_ < epoch_end_ && tokens_ > 0 && in_flight_ < window_cur_) {
     const Request r =
         NetdRequestAt(config_.stream_seed, next_, nodes_, config_.docs);
@@ -136,208 +164,160 @@ void LoadgenClient::AdaptWindow(double load) {
 }
 
 void LoadgenClient::OnFrame(int server, const WireMessage& msg) {
+  if (msg.type != MsgType::kGetReply) {
+    OnReply(server, msg);
+    return;
+  }
+  ++completed_;
+  --in_flight_;
+  // Send->reply latency, attributed to the serving epoch block and to
+  // the daemon that delivered the reply.  Observability only: nothing
+  // downstream of these histograms affects pacing.
+  const auto sent = sent_ns_.find(msg.reply.req_id);
+  if (sent != sent_ns_.end()) {
+    const std::uint64_t now = clock_.NowNanos();
+    const std::uint64_t lat = now >= sent->second ? now - sent->second : 0;
+    result_->latency_per_epoch[epoch_].Record(lat);
+    result_->latency_per_server[static_cast<std::size_t>(server)].Record(lat);
+    sent_ns_.erase(sent);
+  }
+  if (msg.reply.result == GetResult::kServed) {
+    ++result_->client_served;
+    result_->client_hop_sum += msg.reply.hops;
+  } else {
+    ++result_->client_dropped;
+  }
+  AdaptWindow(msg.reply.load);
+  TrySend();
+  // Epoch block drained — in_flight_ is zero by construction (sends are
+  // capped at epoch_end_), so the fleet is quiesced.  A scrape still in
+  // flight simply runs ahead of the next round in the FIFO.
+  if (completed_ != epoch_end_) return;
+  if (epoch_ + 1 < EpochCount())
+    BeginBoundary();
+  else
+    EndRun();
+}
+
+void LoadgenClient::Enqueue(std::vector<int> servers,
+                            std::vector<MsgType> asks,
+                            std::function<void(Round&)> then) {
+  rounds_.push_back(
+      Round{std::move(servers), std::move(asks), std::move(then), 0, {}});
+  if (rounds_.size() == 1) StartHead();
+}
+
+void LoadgenClient::StartHead() {
+  Round& r = rounds_.front();
+  r.awaiting = r.servers.size() * r.asks.size();
+  r.sample.at_completed = completed_;
+  r.sample.per_server.assign(static_cast<std::size_t>(config_.server_count),
+                             WireCounters{});
+  r.sample.hist_per_server.assign(
+      static_cast<std::size_t>(config_.server_count), LatencyHistogram{});
+  for (const int s : r.servers) {
+    FrameConn* c = conns_[static_cast<std::size_t>(s)].get();
+    for (const MsgType ask : r.asks) {
+      if (ask == MsgType::kHello)
+        c->Send(LoadgenHello());
+      else
+        c->SendControl(ask);
+    }
+  }
+  if (r.awaiting == 0) FinishHead();
+}
+
+void LoadgenClient::FinishHead() {
+  Round done = std::move(rounds_.front());
+  rounds_.pop_front();
+  // A round queued behind this one starts after the continuation, which
+  // may itself enqueue (and, into an empty FIFO, start) the next step.
+  const bool queued = !rounds_.empty();
+  if (done.then) done.then(done);
+  if (queued) StartHead();
+}
+
+void LoadgenClient::OnReply(int server, const WireMessage& msg) {
+  if (rounds_.empty()) return;
+  Round& r = rounds_.front();
+  if (std::find(r.asks.begin(), r.asks.end(), Asked(msg.type)) ==
+      r.asks.end())
+    return;  // not an answer to this round, e.g. an initial Hello reply
+  const std::size_t i = static_cast<std::size_t>(server);
   switch (msg.type) {
-    case MsgType::kGetReply: {
-      ++completed_;
-      --in_flight_;
-      // Send->reply latency, attributed to the serving epoch block and
-      // to the daemon that delivered the reply.  Observability only:
-      // nothing downstream of these histograms affects pacing.
-      const auto sent = sent_ns_.find(msg.reply.req_id);
-      if (sent != sent_ns_.end()) {
-        const std::uint64_t now = clock_.NowNanos();
-        const std::uint64_t lat = now >= sent->second ? now - sent->second : 0;
-        result_->latency_per_epoch[epoch_].Record(lat);
-        result_->latency_per_server[static_cast<std::size_t>(server)].Record(
-            lat);
-        sent_ns_.erase(sent);
-      }
-      if (msg.reply.result == GetResult::kServed) {
-        ++result_->client_served;
-        result_->client_hop_sum += msg.reply.hops;
-      } else {
-        ++result_->client_dropped;
-      }
-      AdaptWindow(msg.reply.load);
-      TrySend();
-      if (completed_ != epoch_end_) break;
-      // Epoch block drained — in_flight_ is zero by construction (sends
-      // are capped at epoch_end_), so the fleet is quiesced.  If a live
-      // scrape round is still in flight its replies must not be
-      // confused with a boundary's or the final round's — defer.
-      if (epoch_ + 1 < EpochCount()) {
-        if (scrape_outstanding_)
-          boundary_pending_ = true;
-        else
-          BeginBoundary();
-      } else if (!stats_phase_) {
-        if (scrape_outstanding_)
-          final_pending_ = true;
-        else
-          BeginFinalStats();
-      }
+    case MsgType::kStatsReply:
+      r.sample.per_server[i] = msg.stats;
+      r.sample.hist_per_server[i] = msg.stats_hist.present
+                                        ? msg.stats_hist.ToHistogram()
+                                        : LatencyHistogram{};
       break;
-    }
-    case MsgType::kStatsReply: {
-      const LatencyHistogram reply_hist =
-          msg.stats_hist.present ? msg.stats_hist.ToHistogram()
-                                 : LatencyHistogram{};
-      if (scrape_outstanding_) {
-        // A mid-run scrape reply (FIFO per connection; no other round
-        // is ever issued while a scrape is outstanding).
-        scrape_sample_.per_server[static_cast<std::size_t>(server)] =
-            msg.stats;
-        scrape_sample_.hist_per_server[static_cast<std::size_t>(server)] =
-            reply_hist;
-        if (++scrape_received_ == live_count_) {
-          scrape_outstanding_ = false;
-          result_->samples.push_back(scrape_sample_);
-          if (boundary_pending_) {
-            boundary_pending_ = false;
-            BeginBoundary();
-          } else if (final_pending_) {
-            final_pending_ = false;
-            BeginFinalStats();
-          }
-        }
-        break;
-      }
-      if (boundary_ == Boundary::kVictimStats) {
-        // The victim's final state: the boundary is quiesced, so this
-        // scrape is exactly what the daemon dies knowing.  The kills
-        // must run off this stack: this frame arrived through the
-        // victim's own FrameConn::OnReadable, and DoKillsAndRestarts
-        // destroys that conn.
-        result_->retired.push_back(msg.stats);
-        result_->retired_hist.push_back(reply_hist);
-        if (++victim_replies_ == victim_replies_needed_)
-          loop_.AddTimer(0, [this] { DoKillsAndRestarts(); });
-        break;
-      }
-      if (boundary_ == Boundary::kBarrier) {
-        barrier_sample_.per_server[static_cast<std::size_t>(server)] =
-            msg.stats;
-        barrier_sample_.hist_per_server[static_cast<std::size_t>(server)] =
-            reply_hist;
-        if (++barrier_received_ == live_count_) FinishBoundary();
-        break;
-      }
-      result_->per_server[static_cast<std::size_t>(server)] = msg.stats;
-      result_->server_hist[static_cast<std::size_t>(server)] = reply_hist;
-      if (++stats_received_ == live_count_) {
-        // The end-of-run sample: what a scraper polling at this instant
-        // would see, which by now is every live daemon's final tally.
-        NetdStatsSample final_sample;
-        final_sample.at_completed = completed_;
-        final_sample.per_server = result_->per_server;
-        final_sample.hist_per_server = result_->server_hist;
-        result_->samples.push_back(std::move(final_sample));
-        if (config_.serving.trace)
-          BeginTraceDump();
-        else
-          BeginFlightDump();
-      }
-      break;
-    }
-    case MsgType::kTraceReply: {
+    case MsgType::kTraceReply:
       result_->trace.insert(result_->trace.end(), msg.trace.begin(),
                             msg.trace.end());
-      if (boundary_ == Boundary::kVictimStats) {
-        // Same re-entrancy hazard as the stats branch above: never tear
-        // the delivering conn down from inside its own read callback.
-        if (++victim_replies_ == victim_replies_needed_)
-          loop_.AddTimer(0, [this] { DoKillsAndRestarts(); });
-        break;
-      }
-      if (++trace_received_ == live_count_) BeginFlightDump();
       break;
-    }
     case MsgType::kFlightReply: {
-      // A daemon's flight ring: scraped from a victim ahead of its
-      // SIGKILL (the crash-surviving copy), or from every live daemon at
-      // end of run.  Events arrive already stamped with the sender's
-      // node index.
+      // Rings are asked for from kill victims at a boundary (the
+      // crash-surviving copy) and from every live daemon at end of run,
+      // which is the only time epoch_ is the last epoch.  Events arrive
+      // already stamped with the sender's node index.
       NetdRunResult::FlightDump dump;
       dump.server = server;
-      dump.victim = boundary_ == Boundary::kVictimStats;
+      dump.victim = epoch_ + 1 < EpochCount();
       dump.events = msg.flight.events;
       result_->flights.push_back(std::move(dump));
-      if (boundary_ == Boundary::kVictimStats) {
-        if (++victim_replies_ == victim_replies_needed_)
-          loop_.AddTimer(0, [this] { DoKillsAndRestarts(); });
-        break;
-      }
-      if (++flight_received_ == live_count_) Shutdown();
       break;
     }
-    case MsgType::kHello: {
-      // The rejoin handshake: a restarted daemon answering our Hello
-      // with its identity and boot epoch.  (The initial fleet's Hello
-      // replies all land before the first epoch boundary — per-conn
-      // FIFO puts them ahead of epoch 0's replies — so they are simply
-      // ignored here.)
-      if (boundary_ != Boundary::kRejoin) break;
-      WEBWAVE_REQUIRE(msg.hello.sender ==
-                          static_cast<std::uint32_t>(server),
+    case MsgType::kHello:
+      // A restarted daemon answering with its identity and boot epoch.
+      WEBWAVE_REQUIRE(msg.hello.sender == static_cast<std::uint32_t>(server),
                       "rejoin Hello from the wrong daemon");
       result_->rejoin_hello_epochs.push_back(msg.hello.epoch);
-      if (--rejoin_needed_ == 0) ShipEpoch();
       break;
-    }
     default:
-      break;  // daemons never push anything else at a client
+      return;  // daemons never push anything else at a client
   }
+  if (--r.awaiting == 0) FinishHead();
 }
 
 void LoadgenClient::ScheduleScrape() {
   loop_.AddTimer(config_.stats_scrape_period_ms, [this] {
-    StartScrape();
-    if (!stats_phase_ && !shutdown_sent_) ScheduleScrape();
+    // Mid-run only (the stream runs while completed_ < epoch_end_), and
+    // only into an empty FIFO: while the stream runs, scrapes are the
+    // only rounds, so at most one is ever in flight.
+    if (completed_ < epoch_end_ && rounds_.empty())
+      Enqueue(LiveServers(), {MsgType::kStatsRequest}, [this](Round& r) {
+        result_->samples.push_back(std::move(r.sample));
+      });
+    if (completed_ < config_.total_requests) ScheduleScrape();
   });
-}
-
-void LoadgenClient::StartScrape() {
-  if (scrape_outstanding_ || stats_phase_ || shutdown_sent_ ||
-      boundary_ != Boundary::kNone)
-    return;
-  scrape_outstanding_ = true;
-  scrape_received_ = 0;
-  scrape_sample_.at_completed = completed_;
-  scrape_sample_.per_server.assign(
-      static_cast<std::size_t>(config_.server_count), WireCounters{});
-  scrape_sample_.hist_per_server.assign(
-      static_cast<std::size_t>(config_.server_count), LatencyHistogram{});
-  for (int s = 0; s < config_.server_count; ++s) {
-    if (!live_[static_cast<std::size_t>(s)]) continue;
-    conns_[static_cast<std::size_t>(s)]->SendControl(MsgType::kStatsRequest);
-  }
 }
 
 void LoadgenClient::BeginBoundary() {
   const NetdEpoch& ep = config_.epochs[epoch_ + 1];
-  if (ep.kill_servers.empty()) {
-    boundary_ = Boundary::kVictimStats;  // degenerate: nothing to scrape
-    DoKillsAndRestarts();
-    return;
-  }
-  boundary_ = Boundary::kVictimStats;
-  victim_replies_ = 0;
-  // Per victim: counters (+hist), flight ring, and — when tracing — the
-  // trace buffer.  All scraped at the quiesced boundary, so together
-  // they are exactly what the daemon dies knowing.
-  victim_replies_needed_ =
-      ep.kill_servers.size() * (config_.serving.trace ? 3u : 2u);
   for (const int s : ep.kill_servers) {
     WEBWAVE_REQUIRE(live_[static_cast<std::size_t>(s)],
                     "killing a server that is already dead");
     WEBWAVE_REQUIRE(s != 0, "server 0 owns the root and must survive");
-    conns_[static_cast<std::size_t>(s)]->SendControl(MsgType::kStatsRequest);
-    if (config_.serving.trace)
-      conns_[static_cast<std::size_t>(s)]->SendControl(
-          MsgType::kTraceRequest);
-    conns_[static_cast<std::size_t>(s)]->SendControl(
-        MsgType::kFlightRequest);
   }
+  // Per victim: counters (+hist), the trace buffer when tracing, and the
+  // flight ring — scraped at the quiesced boundary, so together exactly
+  // what the daemon dies knowing.
+  std::vector<MsgType> asks = {MsgType::kStatsRequest};
+  if (config_.serving.trace) asks.push_back(MsgType::kTraceRequest);
+  asks.push_back(MsgType::kFlightRequest);
+  Enqueue(ep.kill_servers, std::move(asks), [this](Round& r) {
+    for (const int s : r.servers) {
+      const std::size_t i = static_cast<std::size_t>(s);
+      result_->retired.push_back(r.sample.per_server[i]);
+      result_->retired_hist.push_back(r.sample.hist_per_server[i]);
+    }
+    // The kills destroy the conn whose reply completed this round, so
+    // they must run off its read callback's stack.
+    if (r.servers.empty())
+      DoKillsAndRestarts();
+    else
+      loop_.AddTimer(0, [this] { DoKillsAndRestarts(); });
+  });
 }
 
 void LoadgenClient::DoKillsAndRestarts() {
@@ -349,24 +329,19 @@ void LoadgenClient::DoKillsAndRestarts() {
     DropServerConn(s);
     kill_fn_(s);
     live_[static_cast<std::size_t>(s)] = false;
-    --live_count_;
   }
-  rejoin_needed_ = static_cast<int>(ep.restart_servers.size());
-  if (rejoin_needed_ == 0) {
-    ShipEpoch();
-    return;
-  }
-  boundary_ = Boundary::kRejoin;
   for (const int s : ep.restart_servers) {
     WEBWAVE_REQUIRE(!live_[static_cast<std::size_t>(s)],
                     "restarting a server that is still live");
     WEBWAVE_REQUIRE(restart_fn_ != nullptr, "no restart hook installed");
     restart_fn_(s, OpenConnFds());
-    ConnectOne(s);  // Hello goes out; the daemon's Hello reply rejoins
+    ConnectOne(s);
     live_[static_cast<std::size_t>(s)] = true;
-    ++live_count_;
     server_epoch_[static_cast<std::size_t>(s)] = 0;  // fresh boot state
   }
+  // Rejoin: each restarted daemon answers our Hello with its boot epoch.
+  Enqueue(ep.restart_servers, {MsgType::kHello},
+          [this](Round&) { ShipEpoch(); });
 }
 
 void LoadgenClient::ShipEpoch() {
@@ -376,15 +351,19 @@ void LoadgenClient::ShipEpoch() {
   up.epoch = static_cast<std::uint32_t>(e);
   up.down = ep.down;
   up.reassign = OwnerDiff(config_.owner, ep.owner);
-  // Each daemon's delta starts from whatever table it actually has —
-  // the previous epoch for survivors, the boot table for a rejoiner — so
-  // one diff per distinct base epoch serves every daemon on it.
+  // The barrier: every live daemon gets its kQuotaDelta and the update,
+  // then a kStatsRequest whose reply (per-connection FIFO) acknowledges
+  // both before any epoch-e request arrives.  The FIFO is empty here (the
+  // rejoin round was just popped and no scrape runs at an epoch end), so
+  // the barrier round starts at once, right behind these frames.  Each
+  // delta starts from whatever table the daemon actually has — the
+  // previous epoch for survivors, the boot table for a rejoiner — so one
+  // diff per distinct base epoch serves every daemon on it.
   std::vector<std::pair<std::uint32_t, QuotaDelta>> deltas;
-  for (int s = 0; s < config_.server_count; ++s) {
-    if (!live_[static_cast<std::size_t>(s)]) continue;
-    const std::uint32_t base = server_epoch_[static_cast<std::size_t>(s)];
+  for (const int s : LiveServers()) {
+    std::uint32_t& base = server_epoch_[static_cast<std::size_t>(s)];
     auto d = std::find_if(deltas.begin(), deltas.end(),
-                          [base](const auto& bd) { return bd.first == base; });
+                          [&](const auto& bd) { return bd.first == base; });
     if (d == deltas.end()) {
       QuotaDelta delta;
       WEBWAVE_REQUIRE(
@@ -394,62 +373,35 @@ void LoadgenClient::ShipEpoch() {
       deltas.emplace_back(base, std::move(delta));
       d = deltas.end() - 1;
     }
-    FrameConn* c = conns_[static_cast<std::size_t>(s)].get();
-    c->Send(d->second);
-    c->Send(up);
-    // FIFO barrier: the stats reply acknowledges that both control
-    // frames above were applied before any epoch-e request arrives.
-    c->SendControl(MsgType::kStatsRequest);
-    server_epoch_[static_cast<std::size_t>(s)] =
-        static_cast<std::uint32_t>(e);
+    conns_[static_cast<std::size_t>(s)]->Send(d->second);
+    conns_[static_cast<std::size_t>(s)]->Send(up);
+    base = static_cast<std::uint32_t>(e);
   }
-  boundary_ = Boundary::kBarrier;
-  barrier_received_ = 0;
-  barrier_sample_.at_completed = completed_;
-  barrier_sample_.per_server.assign(
-      static_cast<std::size_t>(config_.server_count), WireCounters{});
-  barrier_sample_.hist_per_server.assign(
-      static_cast<std::size_t>(config_.server_count), LatencyHistogram{});
+  Enqueue(LiveServers(), {MsgType::kStatsRequest}, [this](Round& r) {
+    result_->epoch_samples.push_back(std::move(r.sample));
+    ++epoch_;
+    epoch_end_ += config_.epochs[epoch_].requests;
+    TrySend();
+  });
 }
 
-void LoadgenClient::FinishBoundary() {
-  result_->epoch_samples.push_back(barrier_sample_);
-  ++epoch_;
-  epoch_end_ += config_.epochs[epoch_].requests;
-  boundary_ = Boundary::kNone;
-  TrySend();
-}
-
-void LoadgenClient::BeginFinalStats() {
-  stats_phase_ = true;
-  for (int s = 0; s < config_.server_count; ++s) {
-    if (!live_[static_cast<std::size_t>(s)]) continue;
-    conns_[static_cast<std::size_t>(s)]->SendControl(MsgType::kStatsRequest);
-  }
-}
-
-void LoadgenClient::BeginTraceDump() {
-  trace_phase_ = true;
-  for (int s = 0; s < config_.server_count; ++s) {
-    if (!live_[static_cast<std::size_t>(s)]) continue;
-    conns_[static_cast<std::size_t>(s)]->SendControl(MsgType::kTraceRequest);
-  }
-}
-
-void LoadgenClient::BeginFlightDump() {
-  flight_phase_ = true;
-  for (int s = 0; s < config_.server_count; ++s) {
-    if (!live_[static_cast<std::size_t>(s)]) continue;
-    conns_[static_cast<std::size_t>(s)]->SendControl(MsgType::kFlightRequest);
-  }
+void LoadgenClient::EndRun() {
+  Enqueue(LiveServers(), {MsgType::kStatsRequest}, [this](Round& r) {
+    // Each live daemon's final tally, which is also the last sample:
+    // what a scraper polling at this instant would see.
+    result_->per_server = r.sample.per_server;
+    result_->server_hist = r.sample.hist_per_server;
+    result_->samples.push_back(std::move(r.sample));
+  });
+  if (config_.serving.trace)
+    Enqueue(LiveServers(), {MsgType::kTraceRequest}, nullptr);
+  Enqueue(LiveServers(), {MsgType::kFlightRequest},
+          [this](Round&) { Shutdown(); });
 }
 
 void LoadgenClient::Shutdown() {
   shutdown_sent_ = true;
-  for (int s = 0; s < config_.server_count; ++s) {
-    if (!live_[static_cast<std::size_t>(s)] ||
-        !conns_[static_cast<std::size_t>(s)])
-      continue;
+  for (const int s : LiveServers()) {
     conns_[static_cast<std::size_t>(s)]->SendControl(MsgType::kShutdown);
     conns_[static_cast<std::size_t>(s)]->Flush();
   }
@@ -504,7 +456,6 @@ bool LoadgenClient::Run(NetdRunResult* result) {
   sink.max_stall_ns = &result_->loop_max_stall_ns;
   loop_.AttachLatencyPlane(sink);
   live_.assign(static_cast<std::size_t>(config_.server_count), true);
-  live_count_ = config_.server_count;
   server_epoch_.assign(static_cast<std::size_t>(config_.server_count), 0);
   epoch_ = 0;
   epoch_end_ = config_.epochs.empty() ? config_.total_requests

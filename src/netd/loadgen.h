@@ -1,36 +1,47 @@
-// LoadgenClient — the deterministic request driver for a netd fleet.
+// LoadgenClient — the deterministic request driver for a netd fleet,
+// plus the control rounds that bracket its stream.
 //
-// Request i is the pure function NetdRequestAt(seed, i, ...), numbered
-// req_id = i, and sent to the daemon owning its origin node.  Pacing is
-// a token bucket refilled from the event loop's timer wheel
-// (tokens_per_tick per tick) under an in-flight window, so the socket
-// buffers stay bounded no matter how large the stream is.  Sends only
-// queue: the loop's round-end step flushes each daemon's conn once, so
-// a tick's requests to one daemon leave in one write.  When every
-// reply is in, the client collects each daemon's WireCounters via
-// kStatsRequest (and, when tracing, each daemon's TraceEvent stream via
-// kTraceRequest) and shuts the fleet down with kShutdown frames.
+// Request driver.  Request i is the pure function NetdRequestAt(seed, i,
+// ...), numbered req_id = i, and sent to the daemon owning its origin
+// node.  Pacing is a token bucket refilled from the event loop's timer
+// wheel (tokens_per_tick per tick) under an in-flight window, so the
+// socket buffers stay bounded no matter how large the stream is.  Sends
+// only queue: the loop's round-end step flushes each daemon's conn once,
+// so a tick's requests to one daemon leave in one write.  Sends are
+// capped at the current epoch's end, so when its last reply lands the
+// fleet is quiesced and the driver is paused until the boundary's last
+// round completes.
 //
-// Live scraping: with stats_scrape_period_ms > 0 the client also polls
-// the whole fleet's counters on a repeating timer *while requests are
-// in flight*, recording each round as a NetdStatsSample.  At most one
-// stats round is ever outstanding (the final round defers until a
-// mid-run scrape drains), so per-connection FIFO makes every reply's
-// attribution unambiguous.
+// Control rounds.  Every request the loadgen sends a daemon outside the
+// stream that expects a reply is part of one round: a set of live
+// servers, the requests each of them answers (kHello, kStatsRequest,
+// kTraceRequest, kFlightRequest) and a continuation that runs when the
+// last expected reply arrives.  Rounds run one at a time from a FIFO,
+// and per-connection FIFO then makes every reply belong to the head
+// round.  A reply counts only if it answers a kind of request that round
+// sent, so the initial connects' Hello replies are ignored.  The scripts:
 //
-// Multi-epoch orchestration (PR 9): with config.epochs set the client
-// doubles as the fleet's control node.  At each epoch boundary it
-// quiesces (in-flight drains to zero by construction: sends are capped
-// at the epoch's end), scrapes any kill victim's counters and trace
-// (the `retired` record — the boundary is quiesced, so this is exactly
-// the victim's final state), invokes the kill/restart hooks, waits for
-// each restarted daemon's rejoin Hello, ships every live daemon its
-// kQuotaDelta (diffed from whatever table epoch that daemon last
-// acknowledged — 0 for a fresh boot) plus the stateless kEpochUpdate,
-// and runs a kStatsRequest barrier round before resuming the stream.
-// Per-connection FIFO makes the barrier an acknowledgement that the
-// delta and update landed.  Barrier samples keep dead servers' slots
-// zero; their last state lives in NetdRunResult::retired.
+//   * Mid-run scrape (stats_scrape_period_ms > 0): a repeating timer
+//     enqueues one kStatsRequest round while the stream runs and no
+//     other round is in flight; its sample goes to NetdRunResult::samples.
+//   * Epoch boundary (config.epochs set): victim round (each kill
+//     victim's stats, then trace when tracing, then flight ring — its
+//     exact final state, the fleet being quiesced) -> kill/restart hooks
+//     -> rejoin round (each restarted daemon's Hello) -> barrier round:
+//     every live daemon gets its kQuotaDelta (diffed from whatever table
+//     epoch it last acknowledged, 0 for a fresh boot) and the stateless
+//     kEpochUpdate right before the round's kStatsRequest, whose reply
+//     acknowledges both.  The barrier sample lands in epoch_samples,
+//     dead slots zero; their last state lives in NetdRunResult::retired.
+//     Then the stream resumes.
+//   * End of run: final stats round (the last sample, and each daemon's
+//     final counters) -> trace dump round when tracing -> flight dump
+//     round -> kShutdown, which expects no reply.
+//
+// An epoch end or the end of the run that lands while a scrape is in
+// flight simply queues behind it.  Continuations run on the stack that
+// completes the round, except the kills: they destroy the conn that
+// delivered the victim round's last reply, so they run from a 0 ms timer.
 //
 // Determinism note: pacing shapes *when* requests enter the fleet, never
 // *what* they are or how they are decided — admission runs block_size=1,
@@ -40,6 +51,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -76,36 +88,42 @@ class LoadgenClient {
   bool Run(NetdRunResult* result);
 
  private:
-  // What the current epoch-boundary handshake is waiting on.  kNone is
-  // normal streaming; the other states suppress sends and periodic
-  // scrapes until the boundary completes.
-  enum class Boundary : std::uint8_t {
-    kNone,
-    kVictimStats,  // victims' pre-kill kStatsReply (+kTraceReply)
-    kRejoin,       // restarted daemons' Hello replies
-    kBarrier,      // post-update kStatsReply from every live daemon
+  // One control round; see the header comment.  `awaiting` counts the
+  // replies still owed once the round is at the head and sent; `sample`
+  // collects its kStatsReplies (zero slots for servers it did not ask).
+  struct Round {
+    std::vector<int> servers;
+    std::vector<MsgType> asks;
+    std::function<void(Round&)> then;
+    std::size_t awaiting = 0;
+    NetdStatsSample sample;
   };
 
   void ConnectAll();
   void ConnectOne(int s);
   void DropServerConn(int s);
   std::vector<int> OpenConnFds() const;
+  std::vector<int> LiveServers() const;
   void ScheduleRefill();
   void TrySend();
   void AdaptWindow(double load);
   void OnFrame(int server, const WireMessage& msg);
   // The loop's round-end step: one Flush per conn with queued output.
   void FlushRound();
-  // Mid-run scraping: a repeating timer fires StartScrape, which issues
-  // one kStatsRequest round unless one is already in flight (or the run
-  // has moved to its final phases / an epoch boundary).
+  // The round FIFO: Enqueue starts a round at once when nothing is ahead
+  // of it; a round that expects no reply completes as soon as it starts.
+  void Enqueue(std::vector<int> servers, std::vector<MsgType> asks,
+               std::function<void(Round&)> then);
+  void StartHead();
+  void FinishHead();
+  void OnReply(int server, const WireMessage& msg);
   void ScheduleScrape();
-  void StartScrape();
-  // The epoch-boundary sequence, in firing order.
+  // The epoch-boundary script, in firing order, and the end of the run.
   void BeginBoundary();
   void DoKillsAndRestarts();
   void ShipEpoch();
-  void FinishBoundary();
+  void EndRun();
+  void Shutdown();
   const QuotaSnapshot& Snap(std::size_t epoch);
   std::size_t EpochCount() const {
     return config_.epochs.empty() ? 1 : config_.epochs.size();
@@ -115,12 +133,6 @@ class LoadgenClient {
     return config_.epochs.empty() ? config_.owner
                                   : config_.epochs[epoch_].owner;
   }
-  // The end-of-run sequence: final stats round -> trace dump (if the
-  // plane traces) -> flight-ring dump -> kShutdown to every daemon.
-  void BeginFinalStats();
-  void BeginTraceDump();
-  void BeginFlightDump();
-  void Shutdown();
 
   const NetdClusterConfig& config_;
   std::vector<std::uint16_t> ports_;
@@ -134,21 +146,9 @@ class LoadgenClient {
   std::uint64_t in_flight_ = 0;
   int tokens_ = 0;
   std::uint64_t window_cur_ = 0;  // live window (load-reactive)
-  bool stats_phase_ = false;  // the *final* stats round is in flight
-  int stats_received_ = 0;
-  // One mid-run scrape round at a time; a completion that lands while a
-  // scrape is outstanding defers the final round until it drains.
-  bool scrape_outstanding_ = false;
-  int scrape_received_ = 0;
-  NetdStatsSample scrape_sample_;
-  bool final_pending_ = false;
-  bool boundary_pending_ = false;
-  bool trace_phase_ = false;
-  int trace_received_ = 0;
-  bool flight_phase_ = false;
-  int flight_received_ = 0;
   bool shutdown_sent_ = false;
   bool failed_ = false;
+  std::deque<Round> rounds_;  // head first; only the head is sent
 
   // Latency plane (PR 10): send timestamps per in-flight req_id, so a
   // kGetReply can be bucketed into the per-epoch and per-server
@@ -159,15 +159,8 @@ class LoadgenClient {
   // Multi-epoch state.
   std::size_t epoch_ = 0;        // epoch the stream is serving under
   std::uint64_t epoch_end_ = 0;  // stream index where this epoch ends
-  Boundary boundary_ = Boundary::kNone;
   std::vector<bool> live_;
-  int live_count_ = 0;
   std::vector<std::uint32_t> server_epoch_;  // table epoch per daemon
-  std::size_t victim_replies_needed_ = 0;
-  std::size_t victim_replies_ = 0;
-  int rejoin_needed_ = 0;
-  NetdStatsSample barrier_sample_;
-  int barrier_received_ = 0;
   // Lazily decoded epoch tables, for diffing deltas.
   std::vector<QuotaSnapshot> snaps_;
   std::vector<bool> snap_ready_;

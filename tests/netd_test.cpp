@@ -25,6 +25,7 @@
 #include <sys/time.h>
 #include <sys/wait.h>
 
+#include <cerrno>
 #include <csignal>
 #include <exception>
 #include <vector>
@@ -712,7 +713,9 @@ TEST(NetdCluster, MultiEpochFleetMatchesOracleWithoutFaults) {
 // The headline: a fleet that loses daemons to SIGKILL mid-run and
 // re-forks them serves the identical integer counters as the in-process
 // oracle replaying the same epoch plan — bit for bit, across the kill,
-// and again after restart + delta re-sync.
+// and again after restart + delta re-sync.  It runs once without live
+// scraping and once with a 2 ms scraper, whose rounds can be in flight
+// when an epoch ends and must not disturb the fault boundary.
 TEST(NetdCluster, KilledAndRestartedFleetMatchesOracleBitForBit) {
   Cluster c = MakeCluster(200, 8, 4, 0);
   EpochPlanOptions opt;
@@ -746,56 +749,92 @@ TEST(NetdCluster, KilledAndRestartedFleetMatchesOracleBitForBit) {
   c.config.serving.trace = true;
   c.config.serving.trace_sample_shift = 6;
 
-  const NetdRunResult run = RunNetdCluster(c.config);
-  ASSERT_TRUE(run.ok);
-
   std::vector<TraceEvent> oracle_trace;
   std::vector<WireCounters> per_epoch;
   const ServingMetrics oracle =
       ReplayOracle(c.config, &oracle_trace, &per_epoch);
 
-  // The sum law across faults: live finals + pre-kill scrapes == oracle.
-  EXPECT_TRUE(ServingCountersEqual(run.fleet, CountersFromMetrics(oracle)));
-  EXPECT_EQ(run.client_served + run.client_dropped, c.config.total_requests);
-  ASSERT_EQ(run.retired.size(), kills);
-  ASSERT_EQ(run.rejoin_hello_epochs.size(), restarts);
-  // A restarted daemon always rejoins from a fresh boot (epoch 0) and is
-  // brought current by the delta re-sync.
-  for (const std::uint32_t e : run.rejoin_hello_epochs) EXPECT_EQ(e, 0u);
+  for (const int scrape_ms : {0, 2}) {
+    SCOPED_TRACE(testing::Message() << "stats_scrape_period_ms " << scrape_ms);
+    c.config.stats_scrape_period_ms = scrape_ms;
+    const NetdRunResult run = RunNetdCluster(c.config);
+    ASSERT_TRUE(run.ok);
 
-  // Barrier sample i closes epoch i: its live counters plus every retired
-  // scrape taken through that transition equal the oracle's cumulative
-  // counters after epoch i.  (Dead slots in a sample stay zero.)
-  ASSERT_EQ(run.epoch_samples.size(),
-            static_cast<std::size_t>(opt.epochs - 1));
-  ASSERT_EQ(per_epoch.size(), static_cast<std::size_t>(opt.epochs));
-  for (std::size_t i = 0; i < run.epoch_samples.size(); ++i) {
-    std::vector<WireCounters> parts = run.epoch_samples[i].per_server;
-    const std::size_t used = KillsThrough(plan, static_cast<int>(i) + 1);
-    ASSERT_LE(used, run.retired.size());
-    parts.insert(parts.end(), run.retired.begin(),
-                 run.retired.begin() + static_cast<std::ptrdiff_t>(used));
-    EXPECT_TRUE(ServingCountersEqual(SumCounters(parts), per_epoch[i]))
-        << "barrier sample " << i;
+    // The sum law across faults: live finals + pre-kill scrapes == oracle.
+    EXPECT_TRUE(ServingCountersEqual(run.fleet, CountersFromMetrics(oracle)));
+    EXPECT_EQ(run.client_served + run.client_dropped, c.config.total_requests);
+    ASSERT_EQ(run.retired.size(), kills);
+    ASSERT_EQ(run.rejoin_hello_epochs.size(), restarts);
+    // A restarted daemon always rejoins from a fresh boot (epoch 0) and is
+    // brought current by the delta re-sync.
+    for (const std::uint32_t e : run.rejoin_hello_epochs) EXPECT_EQ(e, 0u);
+
+    // Barrier sample i closes epoch i: its live counters plus every retired
+    // scrape taken through that transition equal the oracle's cumulative
+    // counters after epoch i.  (Dead slots in a sample stay zero.)
+    ASSERT_EQ(run.epoch_samples.size(),
+              static_cast<std::size_t>(opt.epochs - 1));
+    ASSERT_EQ(per_epoch.size(), static_cast<std::size_t>(opt.epochs));
+    for (std::size_t i = 0; i < run.epoch_samples.size(); ++i) {
+      std::vector<WireCounters> parts = run.epoch_samples[i].per_server;
+      const std::size_t used = KillsThrough(plan, static_cast<int>(i) + 1);
+      ASSERT_LE(used, run.retired.size());
+      parts.insert(parts.end(), run.retired.begin(),
+                   run.retired.begin() + static_cast<std::ptrdiff_t>(used));
+      EXPECT_TRUE(ServingCountersEqual(SumCounters(parts), per_epoch[i]))
+          << "barrier sample " << i;
+    }
+
+    // Trace law across the kill: victim pre-kill dumps + restarted
+    // daemons' post-restart events + survivors' final dumps merge to the
+    // oracle's record stream exactly, no loss and no double count.
+    ASSERT_GT(oracle_trace.size(), 0u);
+    ASSERT_EQ(run.trace.size(), oracle_trace.size());
+    for (std::size_t i = 0; i < oracle_trace.size(); ++i)
+      ASSERT_EQ(run.trace[i], oracle_trace[i]) << "record " << i;
+
+    // Backpressure stayed inside the default watermark (no shedding, every
+    // per-daemon outbox peak bounded), and the gossip plane really did
+    // reconnect around the dead daemon.
+    EXPECT_EQ(run.fleet.shed_forwards, 0u);
+    EXPECT_GE(run.fleet.reconnects, 1u);
+    for (const WireCounters& s : run.per_server)
+      EXPECT_LE(s.outbox_peak_bytes, c.config.outbox_watermark_bytes);
+    for (const WireCounters& s : run.retired)
+      EXPECT_LE(s.outbox_peak_bytes, c.config.outbox_watermark_bytes);
+
+    // Live samples, mid-run scrapes included, come in completion order and
+    // end with the final post-drain sample: every live daemon's final tally.
+    ASSERT_GE(run.samples.size(), 1u);
+    for (std::size_t i = 1; i < run.samples.size(); ++i)
+      EXPECT_LE(run.samples[i - 1].at_completed, run.samples[i].at_completed);
+    EXPECT_EQ(run.samples.back().at_completed, c.config.total_requests);
+    ASSERT_EQ(run.samples.back().per_server.size(), run.per_server.size());
+    for (std::size_t s = 0; s < run.per_server.size(); ++s)
+      EXPECT_TRUE(ServingCountersEqual(run.samples.back().per_server[s],
+                                       run.per_server[s]))
+          << "server " << s;
   }
+}
 
-  // Trace law across the kill: victim pre-kill dumps + restarted
-  // daemons' post-restart events + survivors' final dumps merge to the
-  // oracle's record stream exactly, no loss and no double count.
-  ASSERT_GT(oracle_trace.size(), 0u);
-  ASSERT_EQ(run.trace.size(), oracle_trace.size());
-  for (std::size_t i = 0; i < oracle_trace.size(); ++i)
-    ASSERT_EQ(run.trace[i], oracle_trace[i]) << "record " << i;
-
-  // Backpressure stayed inside the default watermark (no shedding, every
-  // per-daemon outbox peak bounded), and the gossip plane really did
-  // reconnect around the dead daemon.
-  EXPECT_EQ(run.fleet.shed_forwards, 0u);
-  EXPECT_GE(run.fleet.reconnects, 1u);
-  for (const WireCounters& s : run.per_server)
-    EXPECT_LE(s.outbox_peak_bytes, c.config.outbox_watermark_bytes);
-  for (const WireCounters& s : run.retired)
-    EXPECT_LE(s.outbox_peak_bytes, c.config.outbox_watermark_bytes);
+// A run that fails after the fork leaves no daemon behind.  A corrupt
+// epoch-1 blob is accepted at launch (only the loadgen decodes it) and
+// throws at the first boundary; the harness must SIGKILL and reap every
+// daemon before the exception reaches the caller, or they would run on
+// forever (daemons ignore loadgen EOF).
+TEST(NetdCluster, FailedRunReapsEveryDaemon) {
+  Cluster c = MakeCluster(200, 8, 4, 0);
+  EpochPlanOptions opt;
+  opt.epochs = 2;
+  opt.requests_per_epoch = 2000;
+  opt.inject_faults = false;
+  BuildEpochPlan(&c.config, opt);
+  c.config.epochs[1].quota_blob.assign(3, 0xEE);
+  EXPECT_THROW(RunNetdCluster(c.config), std::exception);
+  int status = 0;
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1) << "a daemon is left";
+  EXPECT_EQ(errno, ECHILD);
 }
 
 // A watermark smaller than one frame forces every cross-shard forward to

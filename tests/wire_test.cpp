@@ -988,8 +988,8 @@ TEST(QuotaWire, DiffApplyLawReproducesTargetByteExactly) {
   EXPECT_EQ(after, base);
 }
 
-TEST(QuotaWire, DiffRejectsShapeMismatch) {
-  const QuotaSnapshot big = MakeSnapshot();
+// A 50-node table, shaped unlike MakeSnapshot()'s 200 nodes.
+QuotaSnapshot MakeSmallSnapshot() {
   Rng rng(43);
   const RoutingTree small_tree = MakeRandomTree(50, rng);
   DemandMatrix demand(50, 8);
@@ -998,12 +998,88 @@ TEST(QuotaWire, DiffRejectsShapeMismatch) {
     if (small_tree.children(v).empty())
       for (std::int32_t d = 0; d < 8; ++d)
         demand.set(v, d, drng.NextDouble(0.1, 4.0));
-  const QuotaSnapshot small = QuotaSnapshot::FromPlacement(
+  return QuotaSnapshot::FromPlacement(
       small_tree, DerivePlacement(small_tree, demand), demand, 1e-9);
+}
+
+TEST(QuotaWire, DiffRejectsShapeMismatch) {
+  const QuotaSnapshot big = MakeSnapshot();
+  const QuotaSnapshot small = MakeSmallSnapshot();
 
   QuotaDelta d;
   EXPECT_FALSE(QuotaWireTable::DiffSnapshots(big, small, &d));
   EXPECT_FALSE(QuotaWireTable::DiffSnapshots(small, big, &d));
+}
+
+// The quota-blob mutation fuzzer: WireFuzz's counter-seeded scheme over
+// serialized tables (the loadgen decodes every epoch blob, each daemon
+// its boot blob).  Bit flips, truncations or appended trailing bytes,
+// and count overwrites: a u32 on the 4-byte grid (node and doc counts,
+// document ids) or a u64 cell count or CSR row offset, drawn from the
+// edges of Deserialize's length caps (nodes < len/8, cells <= len/20)
+// and of the stated counts.  Laws, for every input:
+//   * Deserialize never faults or reads past the end (exact-size heap
+//     block, so ASan flags any over-read);
+//   * an accepted blob re-serializes to exactly its bytes;
+//   * a rejected blob leaves the output snapshot untouched.
+void MutateBlob(Bytes* b, std::uint64_t seed, std::uint64_t i) {
+  const std::size_t n = b->size();
+  const std::uint64_t kind = Draw(seed, i, 1) % 4;
+  if (kind == 0) {  // one to three bit flips
+    for (std::uint64_t k = 0; k < 1 + Draw(seed, i, 2) % 3; ++k) {
+      const std::uint64_t bit = Draw(seed, i, 10 + k) % (8 * n);
+      (*b)[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    }
+    return;
+  }
+  if (kind == 3) {  // truncation, or (half the time) trailing bytes
+    if (Draw(seed, i, 7) & 1)
+      b->resize(Draw(seed, i, 6) % n);
+    else
+      b->resize(n + 1 + Draw(seed, i, 6) % 16, 0xa5);
+    return;
+  }
+  const std::uint64_t nodes = GetLE<std::uint32_t>(b->data() + 8);
+  const std::uint64_t cells = GetLE<std::uint64_t>(b->data() + 16);
+  const std::uint64_t edges[] = {
+      0,         1,          nodes - 1, nodes + 1, cells - 1,
+      cells + 1, n / 8 - 1,  n / 8,     n / 20,    n / 20 + 1,
+      1u << 31,  0x7fffffff, ~0ull,     1ull << 62, Draw(seed, i, 3)};
+  const std::uint64_t v = edges[Draw(seed, i, 4) % std::size(edges)];
+  if (kind == 1) {
+    const std::size_t at = 4 * (Draw(seed, i, 5) % (n / 4));
+    PutLE<std::uint32_t>(b->data() + at, static_cast<std::uint32_t>(v));
+  } else {  // the cell count (k = 0) or row offset k - 1
+    const std::uint64_t k = Draw(seed, i, 5) % (nodes + 2);
+    PutLE<std::uint64_t>(b->data() + (k == 0 ? 16 : 32 + 8 * (k - 1)), v);
+  }
+}
+
+TEST(WireFuzz, MutatedQuotaBlobsDeserializeSafelyAndReserializeExactly) {
+  std::vector<Bytes> seeds(2);
+  QuotaWireTable::Serialize(MakeSmallSnapshot(), &seeds[0]);
+  QuotaWireTable::Serialize(QuotaSnapshot{}, &seeds[1]);
+  const QuotaSnapshot sentinel = MakeSnapshot();
+  Bytes sentinel_bytes;
+  QuotaWireTable::Serialize(sentinel, &sentinel_bytes);
+  constexpr std::uint64_t kSeed = 0xb10b, kIterations = 20000;
+  std::uint64_t ok = 0;
+  for (std::uint64_t i = 0; i < kIterations && !HasFailure(); ++i) {
+    Bytes b = seeds[Draw(kSeed, i, 0) % seeds.size()];
+    MutateBlob(&b, kSeed, i);
+    const std::unique_ptr<std::uint8_t[]> exact(new std::uint8_t[b.size()]);
+    std::copy(b.begin(), b.end(), exact.get());
+    QuotaSnapshot out = sentinel;
+    const bool accepted =
+        QuotaWireTable::Deserialize(exact.get(), b.size(), &out);
+    ok += accepted;
+    Bytes again;
+    QuotaWireTable::Serialize(out, &again);
+    EXPECT_EQ(again, accepted ? b : sentinel_bytes) << "iteration " << i;
+  }
+  // Flips in the rate and fraction columns keep a blob valid, so a good
+  // share of mutants exercise the accept-and-reserialize law.
+  EXPECT_GT(ok, kIterations / 8);
 }
 
 }  // namespace
