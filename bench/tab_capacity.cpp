@@ -23,6 +23,12 @@
 //     loop's serving metrics equal the uncapacitated loop's exactly;
 //     at 0.25× WebWave-TLB must still beat home-only on max load.
 //
+// Every projection also records SpillProjector's deterministic work
+// counters (survivor_checks, climb_steps, rows_ranked, cells_projected);
+// tools/check_bench_baselines.py requires them to equal the committed
+// baselines exactly, at 1 and 2 threads alike (the projectors borrow a
+// pool of the bench's thread count).
+//
 // Emits BENCH_capacity.json.  Environment knobs:
 //   WEBWAVE_SMOKE              reduced shapes (the CI smoke configuration)
 //   WEBWAVE_CAPACITY_NODES     part-1 nodes (default 200000; smoke 8000)
@@ -51,6 +57,21 @@
 #include "util/ascii.h"
 #include "util/bench_json.h"
 #include "util/rng.h"
+#include "util/worker_pool.h"
+
+namespace {
+
+void AddWork(webwave::BenchJson* json, const std::string& prefix,
+             const webwave::SpillProjector::WorkCounters& work) {
+  json->Add(prefix + "survivor_checks",
+            static_cast<long long>(work.survivor_checks));
+  json->Add(prefix + "climb_steps", static_cast<long long>(work.climb_steps));
+  json->Add(prefix + "rows_ranked", static_cast<long long>(work.rows_ranked));
+  json->Add(prefix + "cells_projected",
+            static_cast<long long>(work.cells_projected));
+}
+
+}  // namespace
 
 int main() {
   using namespace webwave;
@@ -72,6 +93,7 @@ int main() {
       nodes, docs, requests, threads,
       smoke ? "\n(WEBWAVE_SMOKE: reduced configuration)" : "");
 
+  WorkerPool pool(threads);
   BenchJson json("tab_capacity");
   json.BeginRun();
   json.Add("record", std::string("config"));
@@ -128,10 +150,12 @@ int main() {
       std::int64_t evicted = 0;
       double spilled = 0;
       double project_ms = 0;
+      SpillProjector::WorkCounters work;
       if (capped) {
         const auto t_project = Clock::now();
         CapacityProjector projector(
             tree, CacheStore::WorkingSetStore(tree, sizes, multiple));
+        projector.set_pool(&pool);
         projector.Project(base);
         project_ms = MillisSince(t_project);
         if (!projector.ConservesTotalRate(base)) {
@@ -141,6 +165,7 @@ int main() {
         }
         evicted = projector.evicted_cells();
         spilled = projector.spilled_rate();
+        work = projector.work();
         serve_snap = projector.clamped();
       }
       ServingPlane plane(tree, std::move(serve_snap), opt);
@@ -178,6 +203,7 @@ int main() {
       json.Add("evicted_cells", static_cast<long long>(evicted));
       json.Add("spilled_rate", spilled);
       json.Add("project_ms", project_ms);
+      AddWork(&json, "", work);
       json.Add("hit_ratio", m.HitRatio());
       json.Add("mean_hops", m.MeanHops());
       json.Add("max_load", static_cast<long long>(m.MaxServed()));
@@ -225,6 +251,8 @@ int main() {
       loop_tree, CacheStore::WorkingSetStore(loop_tree, loop_sizes, 1.0));
   CapacityProjector quarter_store(
       loop_tree, CacheStore::WorkingSetStore(loop_tree, loop_sizes, 0.25));
+  full_store.set_pool(&pool);
+  quarter_store.set_pool(&pool);
   full_store.Project(base);
   quarter_store.Project(base);
 
@@ -314,6 +342,7 @@ int main() {
     json.Add("quarter_evicted",
              static_cast<long long>(quarter_store.evicted_cells()));
     json.Add("quarter_spilled", quarter_store.spilled_rate());
+    AddWork(&json, "quarter_", quarter_store.work());
     json.Add("quarter_hit_ratio", at_quarter.metrics().HitRatio());
   }
   std::printf("%s\n", loop_table.Render().c_str());

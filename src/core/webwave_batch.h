@@ -121,6 +121,9 @@ class BatchWebWaveSimulator {
   int doc_count() const { return docs_; }
   int node_count() const { return tree_.size(); }
   int thread_count() const { return pool_->thread_count(); }
+  // The stepping pool.  It idles between Step/ApplyDemandEvents calls, so
+  // the epoch driver lends it to the projectors that run in between.
+  WorkerPool* pool() { return pool_.get(); }
   // Effective document block width (options.lane_block clamped to the
   // catalog size).
   int lane_block() const { return block_; }

@@ -29,9 +29,9 @@ bool FaultProjector::IsDown(NodeId v) const {
 
 bool FaultProjector::Survives(const QuotaSnapshot& base, NodeId v,
                               std::int32_t d) const {
-  if (tree_.is_root(v)) return true;
-  if (down_mask_[static_cast<std::size_t>(v)] != 0) return false;
-  return base.CellOf(v, d) >= 0;
+  (void)base;  // asked only about base copies (the Survives contract)
+  (void)d;
+  return down_mask_[static_cast<std::size_t>(v)] == 0;
 }
 
 void FaultProjector::Project(const QuotaSnapshot& base) {

@@ -33,8 +33,10 @@
 // last_affected_docs() into dirty_lanes so the fault refresh re-reads
 // every base row that moved.
 //
-// Pure serial functions of (base, down set) throughout — bit-identical
-// at every thread count and lane_block width by construction.
+// Pure functions of (base, down set) throughout, computed in independent
+// document blocks merged in a fixed order (SpillProjector; on the
+// engine's pool when EpochDriver lends it) — bit-identical at every
+// thread count and lane_block width by construction.
 #pragma once
 
 #include <cstdint>
@@ -89,8 +91,9 @@ class FaultProjector : public SpillProjector {
   bool IsDown(NodeId v) const;
 
  protected:
-  // A copy survives iff its node is live and holds a base copy; the root
-  // is always live and absorbs any remainder (home-cell synthesis).
+  // A copy survives iff its node is live.  SpillProjector asks only about
+  // base copies, so "and holds a base copy" needs no lookup; the root is
+  // never down and absorbs any remainder (home-cell synthesis).
   bool Survives(const QuotaSnapshot& base, NodeId v,
                 std::int32_t d) const override;
 

@@ -6,6 +6,29 @@
 #include "util/check.h"
 
 namespace webwave {
+namespace {
+
+// The engine's pool idles while the projectors run; a loan hands it to
+// one projector for one call and then restores whatever it held before.
+class PoolLoan {
+ public:
+  PoolLoan(SpillProjector* projector, WorkerPool* pool)
+      : projector_(projector),
+        before_(projector != nullptr ? projector->pool() : nullptr) {
+    if (projector_ != nullptr) projector_->set_pool(pool);
+  }
+  ~PoolLoan() {
+    if (projector_ != nullptr) projector_->set_pool(before_);
+  }
+  PoolLoan(const PoolLoan&) = delete;
+  PoolLoan& operator=(const PoolLoan&) = delete;
+
+ private:
+  SpillProjector* projector_;
+  WorkerPool* before_;
+};
+
+}  // namespace
 
 EpochDriver::EpochDriver(BatchWebWaveSimulator& sim)
     : EpochDriver(sim, Options()) {}
@@ -23,6 +46,8 @@ void EpochDriver::AttachCapacity(CapacityProjector* projector) {
   WEBWAVE_REQUIRE(projector != nullptr && capacity_ == nullptr,
                   "exactly one capacity layer may be attached");
   capacity_ = projector;
+  const PoolLoan capacity_loan(capacity_, sim_.pool());
+  const PoolLoan fault_loan(faults_, sim_.pool());
   capacity_->Project(snap_);
   WEBWAVE_REQUIRE(capacity_->ConservesTotalRate(snap_),
                   "capacity clamping lost quota rate");
@@ -39,6 +64,7 @@ void EpochDriver::AttachFaults(FaultProjector* projector) {
   WEBWAVE_REQUIRE(projector != nullptr && faults_ == nullptr,
                   "exactly one fault layer may be attached");
   faults_ = projector;
+  const PoolLoan loan(faults_, sim_.pool());
   const QuotaSnapshot& base = capacity_ != nullptr ? capacity_->clamped()
                                                    : snap_;
   faults_->Project(base);
@@ -121,6 +147,8 @@ EpochDriver::Report EpochDriver::ApplyEpoch(
   std::vector<std::int32_t> affected(report.dirty.begin(),
                                      report.dirty.end());
   report.projections_in_place = true;
+  const PoolLoan capacity_loan(capacity_, sim_.pool());
+  const PoolLoan fault_loan(faults_, sim_.pool());
   if (capacity_ != nullptr) {
     report.projections_in_place &= capacity_->Refresh(
         snap_, Span<const int>(report.dirty.data(), report.dirty.size()));

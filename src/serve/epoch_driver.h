@@ -22,6 +22,12 @@
 // serving() always names the snapshot planes should serve from: the
 // last attached layer's clamped() output, or the raw maintained
 // snapshot when no projector is attached.
+//
+// The engine's WorkerPool idles between its steps, so the driver lends it
+// to the attached projectors for every projection it runs (their
+// admission rows and spill documents run in pool blocks; see
+// store/spill_projector.h) and takes it back afterwards.  Outputs are the
+// same at any engine thread count.
 #pragma once
 
 #include <cstdint>

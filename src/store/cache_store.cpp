@@ -3,10 +3,11 @@
 #include <algorithm>
 
 #include "util/check.h"
+#include "util/worker_pool.h"
 
 namespace webwave {
 
-void QuotaWeightedEviction::KeepSet(const QuotaSnapshot& snapshot, NodeId v,
+bool QuotaWeightedEviction::KeepSet(const QuotaSnapshot& snapshot, NodeId v,
                                     const DocumentSizes& sizes,
                                     std::uint64_t budget,
                                     std::vector<DocId>* kept,
@@ -14,30 +15,41 @@ void QuotaWeightedEviction::KeepSet(const QuotaSnapshot& snapshot, NodeId v,
   kept->clear();
   const std::int64_t begin = snapshot.row_begin(v);
   const std::int64_t end = snapshot.row_end(v);
-  order_.clear();
-  for (std::int64_t c = begin; c < end; ++c) order_.push_back(c);
   const double* rates = snapshot.cell_rates();
   const std::int32_t* docs = snapshot.cell_docs();
+  order_.clear();
+  std::uint64_t row_bytes = 0;
+  for (std::int64_t c = begin; c < end; ++c) {
+    const std::uint64_t size = sizes.bytes(docs[c]);
+    row_bytes += size;
+    order_.push_back({rates[c] / static_cast<double>(size), c, size});
+  }
+  if (*bytes_used + row_bytes <= budget) {
+    // Every prefix of any order fits, so the greedy pass keeps the whole
+    // row; rows are doc-ascending already.
+    kept->assign(docs + begin, docs + end);
+    *bytes_used += row_bytes;
+    return false;
+  }
   // Decreasing rate/byte; the tie-break on the cell index is a tie-break
   // on the doc id (rows are doc-ascending), so the order — and with it
   // the keep set — is fully deterministic.
   std::sort(order_.begin(), order_.end(),
-            [&](std::int64_t a, std::int64_t b) {
-              const double da =
-                  rates[a] / static_cast<double>(sizes.bytes(docs[a]));
-              const double db =
-                  rates[b] / static_cast<double>(sizes.bytes(docs[b]));
-              if (da != db) return da > db;
-              return a < b;
+            [](const Ranked& a, const Ranked& b) {
+              if (a.key != b.key) return a.key > b.key;
+              return a.cell < b.cell;
             });
-  for (const std::int64_t c : order_) {
-    const std::uint64_t size = sizes.bytes(docs[c]);
-    if (*bytes_used + size <= budget) {
-      *bytes_used += size;
-      kept->push_back(docs[c]);
+  // Flag the admitted cells, then emit them in row (= doc id) order.
+  admitted_.assign(static_cast<std::size_t>(end - begin), 0);
+  for (const Ranked& r : order_)
+    if (*bytes_used + r.bytes <= budget) {
+      *bytes_used += r.bytes;
+      admitted_[static_cast<std::size_t>(r.cell - begin)] = 1;
     }
-  }
-  std::sort(kept->begin(), kept->end());
+  for (std::int64_t c = begin; c < end; ++c)
+    if (admitted_[static_cast<std::size_t>(c - begin)] != 0)
+      kept->push_back(docs[c]);
+  return true;
 }
 
 CacheStore::CacheStore(const RoutingTree& tree, DocumentSizes sizes,
@@ -90,51 +102,74 @@ const std::vector<DocId>& CacheStore::ResidentDocs(NodeId v) const {
   return kept_[static_cast<std::size_t>(v)];
 }
 
-void CacheStore::AdmitRow(const QuotaSnapshot& snapshot, NodeId v) {
-  const std::size_t vv = static_cast<std::size_t>(v);
-  resident_cells_ -= static_cast<std::int64_t>(kept_[vv].size());
-  used_[vv] = 0;
-  if (v == home_) {
-    // The home keeps its whole row: it is the origin, not a cache.
-    kept_[vv].clear();
-    const std::int32_t* docs = snapshot.cell_docs();
-    for (std::int64_t c = snapshot.row_begin(v); c < snapshot.row_end(v); ++c)
-      kept_[vv].push_back(docs[c]);
-  } else {
-    policy_.KeepSet(snapshot, v, sizes_, budgets_[vv], &kept_[vv],
-                    &used_[vv]);
-  }
-  resident_cells_ += static_cast<std::int64_t>(kept_[vv].size());
-}
-
-void CacheStore::Admit(const QuotaSnapshot& snapshot) {
-  WEBWAVE_REQUIRE(snapshot.node_count() == node_count(),
-                  "snapshot does not match the store");
-  for (NodeId v = 0; v < node_count(); ++v) AdmitRow(snapshot, v);
+void CacheStore::Admit(const QuotaSnapshot& snapshot, WorkerPool* pool) {
+  std::vector<NodeId> all(static_cast<std::size_t>(node_count()));
+  for (NodeId v = 0; v < node_count(); ++v)
+    all[static_cast<std::size_t>(v)] = v;
+  Readmit(snapshot, Span<const NodeId>(all.data(), all.size()), nullptr, pool);
 }
 
 void CacheStore::Readmit(const QuotaSnapshot& snapshot,
                          Span<const NodeId> nodes,
-                         std::vector<DocId>* changed_docs) {
+                         std::vector<DocId>* changed_docs, WorkerPool* pool) {
   WEBWAVE_REQUIRE(snapshot.node_count() == node_count(),
                   "snapshot does not match the store");
-  for (const NodeId v : nodes) {
-    WEBWAVE_REQUIRE(v >= 0 && v < node_count(), "node out of range");
-    row_scratch_ = kept_[static_cast<std::size_t>(v)];
-    AdmitRow(snapshot, v);
-    // Both lists are ascending: a linear merge finds the symmetric
-    // difference — the documents this node admitted or evicted.
-    const std::vector<DocId>& now = kept_[static_cast<std::size_t>(v)];
-    std::size_t a = 0, b = 0;
-    while (a < row_scratch_.size() || b < now.size()) {
-      if (b == now.size() ||
-          (a < row_scratch_.size() && row_scratch_[a] < now[b]))
-        changed_docs->push_back(row_scratch_[a++]);
-      else if (a == row_scratch_.size() || now[b] < row_scratch_[a])
-        changed_docs->push_back(now[b++]);
-      else
-        ++a, ++b;
-    }
+  // Strictly ascending is what makes the blocks' rows disjoint and their
+  // concatenated changed lists the serial order.
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    WEBWAVE_REQUIRE(nodes[i] >= 0 && nodes[i] < node_count(),
+                    "node out of range");
+    WEBWAVE_REQUIRE(i == 0 || nodes[i - 1] < nodes[i],
+                    "Readmit nodes must be strictly ascending");
+  }
+  workers_.resize(static_cast<std::size_t>(WorkerPool::Blocks(pool)));
+  for (Worker& w : workers_) {
+    w.changed.clear();
+    w.resident_delta = 0;
+    w.rows_ranked = 0;
+  }
+  WorkerPool::ForBlocks(
+      pool, nodes.size(), [&](int worker, std::size_t begin, std::size_t end) {
+        Worker& w = workers_[static_cast<std::size_t>(worker)];
+        for (std::size_t i = begin; i < end; ++i) {
+          const NodeId v = nodes[i];
+          const std::size_t vv = static_cast<std::size_t>(v);
+          std::vector<DocId>& now = kept_[vv];
+          w.resident_delta -= static_cast<std::int64_t>(now.size());
+          if (changed_docs != nullptr) w.old_row.swap(now);
+          used_[vv] = 0;
+          if (v == home_) {
+            // The home keeps its whole row: it is the origin, not a cache.
+            const std::int32_t* docs = snapshot.cell_docs();
+            now.assign(docs + snapshot.row_begin(v),
+                       docs + snapshot.row_end(v));
+          } else if (w.policy.KeepSet(snapshot, v, sizes_, budgets_[vv], &now,
+                                      &used_[vv])) {
+            ++w.rows_ranked;
+          }
+          w.resident_delta += static_cast<std::int64_t>(now.size());
+          if (changed_docs == nullptr) continue;
+          // Both lists are ascending: a linear merge finds the symmetric
+          // difference — the documents this node admitted or evicted.
+          const std::vector<DocId>& old = w.old_row;
+          std::size_t a = 0, b = 0;
+          while (a < old.size() || b < now.size()) {
+            if (b == now.size() || (a < old.size() && old[a] < now[b]))
+              w.changed.push_back(old[a++]);
+            else if (a == old.size() || now[b] < old[a])
+              w.changed.push_back(now[b++]);
+            else
+              ++a, ++b;
+          }
+        }
+      });
+  rows_ranked_ = 0;
+  for (const Worker& w : workers_) {
+    resident_cells_ += w.resident_delta;
+    rows_ranked_ += w.rows_ranked;
+    if (changed_docs != nullptr)
+      changed_docs->insert(changed_docs->end(), w.changed.begin(),
+                           w.changed.end());
   }
 }
 

@@ -23,6 +23,9 @@
 // the nodes whose snapshot rows changed (CapacityProjector feeds it the
 // nodes holding dirty-lane cells), reporting which documents' residency
 // actually moved so downstream re-projection stays churn-proportional.
+// Both are pure functions of (rows, sizes, budgets), computed in
+// independent node blocks merged in a fixed order — on a borrowed
+// WorkerPool when the caller has one, as one block otherwise.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +38,8 @@
 
 namespace webwave {
 
+class WorkerPool;
+
 // The admission policy: one snapshot row in, the keep set out.  Holds
 // only sort scratch, so one instance serves any number of rows; the
 // decision is a pure function of its arguments.
@@ -44,13 +49,21 @@ class QuotaWeightedEviction {
   // fit the budget, ascending doc id, and adds their bytes to
   // *bytes_used: cells are taken in decreasing rate/byte order (ties:
   // lower doc id first), each admitted iff it still fits — smaller
-  // documents may slip under a large one that did not.
-  void KeepSet(const QuotaSnapshot& snapshot, NodeId v,
+  // documents may slip under a large one that did not.  A row whose
+  // bytes all fit is kept whole without ranking (exactly what the greedy
+  // pass would admit).  Returns true when the row had to be ranked.
+  bool KeepSet(const QuotaSnapshot& snapshot, NodeId v,
                const DocumentSizes& sizes, std::uint64_t budget,
                std::vector<DocId>* kept, std::uint64_t* bytes_used);
 
  private:
-  std::vector<std::int64_t> order_;  // sort scratch, per-row cell indices
+  struct Ranked {
+    double key;  // rate / bytes, computed once per cell
+    std::int64_t cell;
+    std::uint64_t bytes;
+  };
+  std::vector<Ranked> order_;           // sort scratch, one per row cell
+  std::vector<std::uint8_t> admitted_;  // per row cell, 1 = kept
 };
 
 class CacheStore {
@@ -80,30 +93,46 @@ class CacheStore {
   const std::vector<DocId>& ResidentDocs(NodeId v) const;
   std::int64_t resident_cells() const { return resident_cells_; }
 
+  // Rows the last Admit/Readmit had to rank (rows that fit whole are
+  // not counted) — a deterministic work counter.
+  std::int64_t rows_ranked() const { return rows_ranked_; }
+
   // Runs QuotaWeightedEviction over every row of `snapshot`, replacing
   // all residency state.
-  void Admit(const QuotaSnapshot& snapshot);
+  void Admit(const QuotaSnapshot& snapshot, WorkerPool* pool = nullptr);
 
-  // Re-ranks only `nodes` (ascending, unique) against their current
-  // `snapshot` rows.  Documents whose residency changed at any of the
-  // nodes are appended to `changed_docs` (duplicates possible across
-  // nodes; the caller dedups).  Rows not listed keep their keep sets —
-  // correct whenever their snapshot rows are unchanged, because the keep
-  // set is a pure function of the row.
+  // Re-ranks only `nodes` (strictly ascending, required) against their
+  // current `snapshot` rows.  Documents whose residency changed at any of
+  // the nodes are appended to `changed_docs` in node order (duplicates
+  // possible across nodes; the caller dedups).  Rows not listed keep
+  // their keep sets — correct whenever their snapshot rows are
+  // unchanged, because the keep set is a pure function of the row.
+  //
+  // Rows are independent, so they are ranked in contiguous node blocks
+  // on `pool` (one block without one) and the blocks' changed lists are
+  // concatenated in block order: the output is the serial loop's at any
+  // thread count.
   void Readmit(const QuotaSnapshot& snapshot, Span<const NodeId> nodes,
-               std::vector<DocId>* changed_docs);
+               std::vector<DocId>* changed_docs, WorkerPool* pool = nullptr);
 
  private:
-  void AdmitRow(const QuotaSnapshot& snapshot, NodeId v);
+  // Per-block scratch and partial results of one Admit/Readmit.
+  struct Worker {
+    QuotaWeightedEviction policy;
+    std::vector<DocId> old_row;  // the row's keep set before re-ranking
+    std::vector<DocId> changed;
+    std::int64_t resident_delta = 0;
+    std::int64_t rows_ranked = 0;
+  };
 
   DocumentSizes sizes_;
   std::vector<std::uint64_t> budgets_;
   std::vector<std::uint64_t> used_;
   std::vector<std::vector<DocId>> kept_;  // per node, ascending doc id
   std::int64_t resident_cells_ = 0;
+  std::int64_t rows_ranked_ = 0;
   NodeId home_;
-  QuotaWeightedEviction policy_;
-  std::vector<DocId> row_scratch_;  // Readmit's old-keep-set copy
+  std::vector<Worker> workers_;  // one per pool block
 };
 
 }  // namespace webwave

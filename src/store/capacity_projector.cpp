@@ -1,7 +1,5 @@
 #include "store/capacity_projector.h"
 
-#include <algorithm>
-
 #include "util/check.h"
 
 namespace webwave {
@@ -21,7 +19,8 @@ bool CapacityProjector::Survives(const QuotaSnapshot& base, NodeId v,
 void CapacityProjector::Project(const QuotaSnapshot& base) {
   WEBWAVE_REQUIRE(base.node_count() == store_.node_count(),
                   "snapshot does not match the store");
-  store_.Admit(base);
+  store_.Admit(base, pool());
+  set_rows_ranked(store_.rows_ranked());
   ProjectAll(base);
 }
 
@@ -36,29 +35,37 @@ bool CapacityProjector::Refresh(const QuotaSnapshot& base,
   // holding a dirty lane's cells now — or whose budget a dirty lane was
   // occupying — nodes where it was resident before (its old clamped
   // cells).  Re-ranking anywhere else would reproduce the stored keep
-  // set: it is a pure function of an unchanged row.
-  std::vector<NodeId> touched;
+  // set: it is a pure function of an unchanged row.  A mark per node,
+  // swept in id order, lists them ascending in O(nodes + cells).
+  node_mark_.resize(static_cast<std::size_t>(base.node_count()));
   for (const int d : dirty_lanes) {
-    const Span<const NodeId> now = base.DocNodes(d);
-    touched.insert(touched.end(), now.begin(), now.end());
-    const Span<const NodeId> before = clamped().DocNodes(d);
-    touched.insert(touched.end(), before.begin(), before.end());
+    for (const NodeId v : base.DocNodes(d))
+      node_mark_[static_cast<std::size_t>(v)] = 1;
+    for (const NodeId v : clamped().DocNodes(d))
+      node_mark_[static_cast<std::size_t>(v)] = 1;
   }
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  std::vector<NodeId> touched;
+  for (NodeId v = 0; v < base.node_count(); ++v)
+    if (node_mark_[static_cast<std::size_t>(v)] != 0) {
+      node_mark_[static_cast<std::size_t>(v)] = 0;
+      touched.push_back(v);
+    }
 
   std::vector<DocId> changed;
   store_.Readmit(base, Span<const NodeId>(touched.data(), touched.size()),
-                 &changed);
+                 &changed, pool());
+  set_rows_ranked(store_.rows_ranked());
 
   // The documents whose clamped cells can differ: the dirty lanes (their
   // rates moved) plus every document some re-ranked node admitted or
   // evicted (their spill routing moved).
-  std::vector<std::int32_t> affected(dirty_lanes.begin(), dirty_lanes.end());
-  affected.insert(affected.end(), changed.begin(), changed.end());
-  std::sort(affected.begin(), affected.end());
-  affected.erase(std::unique(affected.begin(), affected.end()),
-                 affected.end());
+  std::vector<std::uint8_t> doc_mark(static_cast<std::size_t>(base.doc_count()),
+                                     0);
+  for (const int d : dirty_lanes) doc_mark[static_cast<std::size_t>(d)] = 1;
+  for (const DocId d : changed) doc_mark[static_cast<std::size_t>(d)] = 1;
+  std::vector<std::int32_t> affected;
+  for (std::int32_t d = 0; d < base.doc_count(); ++d)
+    if (doc_mark[static_cast<std::size_t>(d)] != 0) affected.push_back(d);
   return Reproject(base, affected);
 }
 

@@ -28,9 +28,11 @@
 // set whose clamped cells can change.  The result is cell-identical to a
 // full Project(base) (asserted under ChurnSchedule churn by store_test).
 //
-// Everything here is a pure serial function of (base, store state):
-// deterministic across thread counts and lane_block widths by
-// construction — the engine's bit-identity guarantees carry through the
+// Everything here is a pure function of (base, store state), computed in
+// independent row blocks (admission) and document blocks (spill) merged
+// in a fixed order — on a borrowed WorkerPool (set_pool) or as one block
+// without one.  Deterministic across thread counts and lane_block widths
+// by construction: the engine's bit-identity guarantees carry through the
 // store untouched.
 #pragma once
 
@@ -64,12 +66,14 @@ class CapacityProjector : public SpillProjector {
 
  protected:
   // A copy survives iff the store kept it resident (the home is resident
-  // for the whole catalog by definition).
+  // for the whole catalog by definition).  Admission ranks base rows, so
+  // every non-home survivor is a base copy — the Survives contract.
   bool Survives(const QuotaSnapshot& base, NodeId v,
                 std::int32_t d) const override;
 
  private:
   CacheStore store_;
+  std::vector<std::uint8_t> node_mark_;  // Refresh's touched-node marks, 0 idle
 };
 
 }  // namespace webwave

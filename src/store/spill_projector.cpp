@@ -4,12 +4,11 @@
 #include <cmath>
 
 #include "util/check.h"
+#include "util/worker_pool.h"
 
 namespace webwave {
 
-SpillProjector::SpillProjector(const RoutingTree& tree) : tree_(tree) {
-  spill_.assign(static_cast<std::size_t>(tree.size()), 0.0);
-}
+SpillProjector::SpillProjector(const RoutingTree& tree) : tree_(tree) {}
 
 double SpillProjector::spilled_rate() const {
   double total = 0;
@@ -30,6 +29,12 @@ void SpillProjector::PublishMetrics(MetricRegistry* registry,
                 std::llround(spilled_rate() * 1e6));
   registry->Set(registry->Gauge(prefix + "affected_docs"),
                 static_cast<std::int64_t>(last_affected_.size()));
+  registry->Set(registry->Gauge(prefix + "survivor_checks"),
+                work_.survivor_checks);
+  registry->Set(registry->Gauge(prefix + "climb_steps"), work_.climb_steps);
+  registry->Set(registry->Gauge(prefix + "rows_ranked"), work_.rows_ranked);
+  registry->Set(registry->Gauge(prefix + "cells_projected"),
+                work_.cells_projected);
 }
 
 bool SpillProjector::ConservesTotalRate(const QuotaSnapshot& base,
@@ -38,30 +43,59 @@ bool SpillProjector::ConservesTotalRate(const QuotaSnapshot& base,
          rel_tol * (1.0 + std::abs(base.total_rate()));
 }
 
-void SpillProjector::ProjectDoc(const QuotaSnapshot& base, std::int32_t d) {
+void SpillProjector::ProjectDoc(const QuotaSnapshot& base, std::int32_t d,
+                                Scratch* s) {
   const Span<const NodeId> nodes = base.DocNodes(d);
   const Span<const std::int64_t> cells = base.DocCells(d);
   const double* rates = base.cell_rates();
   const double* fracs = base.cell_fractions();
+  const NodeId* parent = tree_.parents().data();
   const NodeId home = tree_.root();
+  double* spill = s->spill.data();
+  NodeId* target = s->target.data();
   std::vector<DocCell>& out = doc_scratch_[static_cast<std::size_t>(d)];
   out.clear();
+  const auto resolve = [&](NodeId v, NodeId t) {
+    target[v] = t;
+    s->touched.push_back(v);
+  };
+
+  // Pass 0 — the predicate, once per column cell.  By the Survives
+  // contract the survivors are these marked cells plus the home; every
+  // other node is excised.
+  resolve(home, home);
+  for (const NodeId v : nodes)
+    if (Survives(base, v, d) && target[v] < 0) resolve(v, v);
+  s->work.survivor_checks += static_cast<std::int64_t>(nodes.size());
 
   // Pass 1 — excised copies spill their whole quota onto the nearest
-  // surviving ancestor copy (the home at worst; Survives is true there,
-  // so the climb terminates before running off the root).  Cells are
-  // visited node-ascending, so the spill sums accumulate in a fixed
-  // order no matter how the snapshot was produced.
+  // surviving ancestor (the home at worst, so every climb terminates).
+  // A climb stops at the first resolved node — a survivor, or a node an
+  // earlier climb passed, whose target is ours too — and resolves every
+  // node it passed, so each node is climbed through at most once per
+  // document.  Cells are visited node-ascending, so the spill sums
+  // accumulate in a fixed order no matter how the snapshot was produced.
   double spilled = 0;
   std::int64_t evicted = 0;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     const NodeId v = nodes[i];
-    if (Survives(base, v, d)) continue;
+    NodeId t = target[v];
+    if (t == v) continue;
+    if (t < 0) {
+      NodeId u = parent[v];
+      ++s->work.climb_steps;
+      while (target[u] < 0) {
+        s->path.push_back(u);
+        u = parent[u];
+        ++s->work.climb_steps;
+      }
+      t = target[u];
+      for (const NodeId p : s->path) resolve(p, t);
+      s->path.clear();
+      resolve(v, t);
+    }
     const double q = rates[cells[i]];
-    NodeId u = tree_.parent(v);
-    while (!Survives(base, u, d)) u = tree_.parent(u);
-    if (spill_[static_cast<std::size_t>(u)] == 0.0) spill_touched_.push_back(u);
-    spill_[static_cast<std::size_t>(u)] += q;
+    spill[t] += q;
     spilled += q;
     ++evicted;
   }
@@ -74,19 +108,19 @@ void SpillProjector::ProjectDoc(const QuotaSnapshot& base, std::int32_t d) {
   bool home_has_cell = false;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     const NodeId v = nodes[i];
-    if (!Survives(base, v, d)) continue;
+    if (target[v] != v) continue;
     const double q = rates[cells[i]];
     const double f = fracs[cells[i]];
-    const double s = spill_[static_cast<std::size_t>(v)];
+    const double sp = spill[v];
     if (v == home) home_has_cell = true;
-    if (s == 0.0) {
+    if (sp == 0.0) {
       out.push_back({v, q, f});
     } else {
       const double arrive = f >= 1.0 ? q : q / f;
-      out.push_back({v, q + s, std::min(1.0, (q + s) / (arrive + s))});
+      out.push_back({v, q + sp, std::min(1.0, (q + sp) / (arrive + sp))});
     }
   }
-  const double home_spill = spill_[static_cast<std::size_t>(home)];
+  const double home_spill = spill[home];
   if (!home_has_cell && home_spill > 0.0) {
     // The document had no home copy in the base snapshot (everything was
     // absorbed below); the spilled remainder materializes one.
@@ -98,11 +132,44 @@ void SpillProjector::ProjectDoc(const QuotaSnapshot& base, std::int32_t d) {
                cell);
   }
 
-  for (const NodeId u : spill_touched_)
-    spill_[static_cast<std::size_t>(u)] = 0.0;
-  spill_touched_.clear();
+  for (const NodeId u : s->touched) {
+    target[u] = -1;
+    spill[u] = 0.0;
+  }
+  s->touched.clear();
+  s->work.cells_projected += static_cast<std::int64_t>(out.size());
   doc_spill_[static_cast<std::size_t>(d)] = spilled;
   doc_evicted_[static_cast<std::size_t>(d)] = evicted;
+}
+
+void SpillProjector::ProjectDocs(const QuotaSnapshot& base,
+                                 const std::vector<std::int32_t>& docs) {
+  // The column index is built lazily; build it before the blocks read it.
+  if (!docs.empty()) base.DocNodes(docs.front());
+  const std::size_t nodes = static_cast<std::size_t>(tree_.size());
+  scratch_.resize(static_cast<std::size_t>(WorkerPool::Blocks(pool_)));
+  // Per-node scratch is sized here, on the calling thread: allocated in a
+  // pool worker it would sit in that thread's malloc arena, and peak RSS
+  // grew with every projector built (hotspot-loop, ~2 MB over 30 rounds).
+  for (Scratch& s : scratch_) {
+    s.work = WorkCounters();
+    if (s.target.size() != nodes) {
+      s.spill.assign(nodes, 0.0);
+      s.target.assign(nodes, -1);
+      s.touched.reserve(nodes);
+    }
+  }
+  WorkerPool::ForBlocks(
+      pool_, docs.size(), [&](int worker, std::size_t begin, std::size_t end) {
+        Scratch& s = scratch_[static_cast<std::size_t>(worker)];
+        for (std::size_t i = begin; i < end; ++i) ProjectDoc(base, docs[i], &s);
+      });
+  work_.survivor_checks = work_.climb_steps = work_.cells_projected = 0;
+  for (const Scratch& s : scratch_) {
+    work_.survivor_checks += s.work.survivor_checks;
+    work_.climb_steps += s.work.climb_steps;
+    work_.cells_projected += s.work.cells_projected;
+  }
 }
 
 void SpillProjector::Assemble(const std::vector<std::int32_t>& affected) {
@@ -196,7 +263,7 @@ void SpillProjector::ProjectAll(const QuotaSnapshot& base) {
   doc_scratch_.resize(static_cast<std::size_t>(docs));
   std::vector<std::int32_t> all(static_cast<std::size_t>(docs));
   for (int d = 0; d < docs; ++d) all[static_cast<std::size_t>(d)] = d;
-  for (const std::int32_t d : all) ProjectDoc(base, d);
+  ProjectDocs(base, all);
   clamped_ = QuotaSnapshot();  // Assemble merges against an empty snapshot
   Assemble(all);
   last_affected_ = std::move(all);
@@ -206,10 +273,17 @@ void SpillProjector::ProjectAll(const QuotaSnapshot& base) {
 bool SpillProjector::Reproject(const QuotaSnapshot& base,
                                const std::vector<std::int32_t>& affected) {
   WEBWAVE_REQUIRE(projected_, "Reproject needs a prior ProjectAll");
+  // Strictly ascending keeps every document in one block (workers write
+  // per-document state) and the rebuilt CSR in its fixed order.
+  for (std::size_t i = 0; i < affected.size(); ++i) {
+    WEBWAVE_REQUIRE(affected[i] >= 0 && affected[i] < clamped_.doc_count(),
+                    "affected document out of range");
+    WEBWAVE_REQUIRE(i == 0 || affected[i - 1] < affected[i],
+                    "affected documents must be strictly ascending");
+  }
   last_affected_ = affected;
+  ProjectDocs(base, affected);
   if (affected.empty()) return true;
-
-  for (const std::int32_t d : affected) ProjectDoc(base, d);
 
   // In-place when every affected document kept its clamped copy set:
   // rewrite rates and fractions through the column index, applying rate

@@ -16,10 +16,19 @@
 // re-project; the per-document projection, the CSR merge/assembly, the
 // in-place value rewrite and the conservation check live here.
 //
-// Everything is a pure serial function of (base snapshot, predicate
-// state): deterministic across thread counts and lane_block widths, so
-// the engine's bit-identity guarantees carry through any projection
-// stack (capacity, faults, or both chained) untouched.
+// Cost: each document's projection is linear in its base column plus the
+// tree nodes its spills climb through.  The predicate is asked once per
+// column cell (survivors are a subset of the column plus the home — the
+// Survives contract), and a climb memoises every node it passes, so no
+// node is climbed through twice per document.
+//
+// Everything is a pure function of (base snapshot, predicate state),
+// computed in independent document blocks merged in a fixed order: on a
+// borrowed WorkerPool (set_pool; EpochDriver lends the engine's) or as
+// one block without one.  Each document writes only its own scratch and
+// stats, so results are deterministic across thread counts and lane_block
+// widths, and the engine's bit-identity guarantees carry through any
+// projection stack (capacity, faults, or both chained) untouched.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +41,8 @@
 #include "util/span.h"
 
 namespace webwave {
+
+class WorkerPool;
 
 class SpillProjector {
  public:
@@ -56,10 +67,28 @@ class SpillProjector {
                                     last_affected_.size());
   }
 
+  // Deterministic work counters of the last projection — identical at
+  // every thread count, so they can be asserted and gated exactly.
+  struct WorkCounters {
+    std::int64_t survivor_checks = 0;  // Survives calls: one per column cell
+    std::int64_t climb_steps = 0;      // ancestor lookups while spilling
+    std::int64_t rows_ranked = 0;      // admission rows ranked (capacity)
+    std::int64_t cells_projected = 0;  // clamped cells the documents emitted
+  };
+  const WorkCounters& work() const { return work_; }
+
+  // Lends a pool for the document blocks of later projections (nullptr:
+  // one block on the calling thread).  Outputs do not depend on it.  Not
+  // owned; the caller keeps it alive while lent.
+  void set_pool(WorkerPool* pool) { pool_ = pool; }
+  WorkerPool* pool() const { return pool_; }
+
   // Publishes the last projection's stats into `registry` as gauges:
   // "<prefix>evicted_cells", "<prefix>spilled_rate_micros" (the spilled
   // quota rate in integer micro-units — the registry is integer-only so
-  // identity assertions stay exact) and "<prefix>affected_docs".  The
+  // identity assertions stay exact), "<prefix>affected_docs" and the
+  // WorkCounters as "<prefix>survivor_checks", "<prefix>climb_steps",
+  // "<prefix>rows_ranked" and "<prefix>cells_projected".  The
   // EpochDriver calls this each epoch with "capacity." / "fault.".
   void PublishMetrics(MetricRegistry* registry,
                       const std::string& prefix) const;
@@ -74,10 +103,13 @@ class SpillProjector {
  protected:
   explicit SpillProjector(const RoutingTree& tree);
 
-  // Does (v, d) keep its copy under this projection?  Must return true
-  // at the root — the home is the authoritative origin, and the spill
-  // climb terminates there.  Called only while a ProjectAll/Reproject is
-  // consuming `base`.
+  // Does (v, d) keep its copy under this projection?  Contract: a
+  // survivor holds a cell of d in `base` or is the root, and the root
+  // always survives — the home is the authoritative origin, and the
+  // spill climb terminates there.  The projection relies on it: it asks
+  // only about the column's cells (once each) and treats every other
+  // non-root node as excised.  Called only while a ProjectAll/Reproject
+  // is consuming `base`, possibly from several pool workers at once.
   virtual bool Survives(const QuotaSnapshot& base, NodeId v,
                         std::int32_t d) const = 0;
 
@@ -86,8 +118,9 @@ class SpillProjector {
   void ProjectAll(const QuotaSnapshot& base);
 
   // Incremental re-projection (requires a prior ProjectAll): re-projects
-  // exactly `affected` (ascending, unique) — the subclass promises every
-  // other document's base column *and* predicate outcomes are unchanged.
+  // exactly `affected` (strictly ascending, required) — the subclass
+  // promises every other document's base column *and* predicate outcomes
+  // are unchanged.
   // When every affected document kept its clamped copy set, cell values
   // are rewritten in place through the column index (total_rate by
   // deltas); otherwise clean rows and fresh cells merge into a rebuilt
@@ -97,6 +130,8 @@ class SpillProjector {
                  const std::vector<std::int32_t>& affected);
 
   bool projected() const { return projected_; }
+  // The subclass's admission work for the projection in progress.
+  void set_rows_ranked(std::int64_t rows) { work_.rows_ranked = rows; }
 
   const RoutingTree& tree_;
 
@@ -108,10 +143,24 @@ class SpillProjector {
     double frac;
   };
 
+  // Per-worker scratch for the per-document spill pass; the per-node
+  // arrays are sized once by ProjectDocs and restored to their idle
+  // values (0 / -1) after every document.
+  struct Scratch {
+    std::vector<double> spill;   // quota spilled onto the node
+    std::vector<NodeId> target;  // v if v survives, else its spill target
+    std::vector<NodeId> touched;  // nodes whose entries are set
+    std::vector<NodeId> path;     // one climb's not-yet-resolved nodes
+    WorkCounters work;
+  };
+
   // Computes document d's clamped cells from the base column into
   // doc_scratch_[d] (node ascending) and refreshes doc_spill_[d] /
   // doc_evicted_[d].
-  void ProjectDoc(const QuotaSnapshot& base, std::int32_t d);
+  void ProjectDoc(const QuotaSnapshot& base, std::int32_t d, Scratch* s);
+  // ProjectDoc over `docs` in pool blocks; sums the work counters.
+  void ProjectDocs(const QuotaSnapshot& base,
+                   const std::vector<std::int32_t>& docs);
   // Rebuilds clamped_ from scratch rows `fresh` (sorted by (node, doc))
   // merged with the current clamped cells of unaffected documents; with
   // every document affected this is the full assembly.
@@ -119,15 +168,16 @@ class SpillProjector {
 
   QuotaSnapshot clamped_;
   bool projected_ = false;
+  WorkerPool* pool_ = nullptr;
+  WorkCounters work_;
 
-  std::vector<double> doc_spill_;          // per document, last projection
-  std::vector<std::int64_t> doc_evicted_;  // per document, last projection
-  std::vector<std::vector<DocCell>> doc_scratch_;  // per-doc clamped cells
-  std::vector<std::int32_t> last_affected_;        // see accessor
-
-  // Per-node scratch for one document's spill pass.
-  std::vector<double> spill_;
-  std::vector<NodeId> spill_touched_;
+  // Per document, last projection; each is written only by the worker
+  // projecting that document.
+  std::vector<double> doc_spill_;
+  std::vector<std::int64_t> doc_evicted_;
+  std::vector<std::vector<DocCell>> doc_scratch_;  // clamped cells
+  std::vector<std::int32_t> last_affected_;  // see accessor
+  std::vector<Scratch> scratch_;             // one per pool block
 };
 
 }  // namespace webwave

@@ -77,6 +77,14 @@ void WorkerPool::ParallelFor(std::size_t count, const Task& fn) {
   }
 }
 
+void WorkerPool::ForBlocks(WorkerPool* pool, std::size_t count,
+                           const Task& fn) {
+  if (pool != nullptr)
+    pool->ParallelFor(count, fn);
+  else if (count > 0)
+    fn(0, 0, count);
+}
+
 void WorkerPool::WorkerMain(int worker) {
   std::uint64_t seen = 0;
   for (;;) {

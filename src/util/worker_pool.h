@@ -64,6 +64,15 @@ class WorkerPool {
   // the same pool.
   void ParallelFor(std::size_t count, const Task& fn);
 
+  // ParallelFor on a borrowed `pool`, or the single block fn(0, 0, count)
+  // when there is none — callers that may or may not hold a pool run the
+  // same block code either way.  Blocks(pool) bounds the worker ids fn
+  // sees, for sizing per-worker scratch.
+  static void ForBlocks(WorkerPool* pool, std::size_t count, const Task& fn);
+  static int Blocks(const WorkerPool* pool) {
+    return pool != nullptr ? pool->thread_count() : 1;
+  }
+
   // Block `part` of the deterministic partition of [0, count) into `parts`
   // contiguous blocks: [count*part/parts, count*(part+1)/parts).  Block
   // sizes differ by at most one and the union is exactly [0, count).

@@ -15,6 +15,7 @@
 #include "core/webwave_batch.h"
 #include "doc/catalog.h"
 #include "proto/packet_sim.h"
+#include "serve/epoch_driver.h"
 #include "serve/quota_snapshot.h"
 #include "serve/request_gen.h"
 #include "serve/serving_plane.h"
@@ -25,33 +26,10 @@
 #include "tree/builders.h"
 #include "util/rng.h"
 
+#include "spill_reference.h"
+
 namespace webwave {
 namespace {
-
-// Two snapshots must agree cell for cell, byte for byte (total_rate is
-// FP-order sensitive between incremental and full paths, so it gets a
-// relative tolerance instead).
-void ExpectSameCells(const QuotaSnapshot& got, const QuotaSnapshot& want,
-                     const char* where) {
-  ASSERT_EQ(got.node_count(), want.node_count()) << where;
-  ASSERT_EQ(got.doc_count(), want.doc_count()) << where;
-  ASSERT_EQ(got.cell_count(), want.cell_count()) << where;
-  for (NodeId v = 0; v < want.node_count(); ++v) {
-    ASSERT_EQ(got.row_begin(v), want.row_begin(v)) << where << " node " << v;
-    ASSERT_EQ(got.row_end(v), want.row_end(v)) << where << " node " << v;
-  }
-  for (std::int64_t c = 0; c < want.cell_count(); ++c) {
-    const std::size_t i = static_cast<std::size_t>(c);
-    ASSERT_EQ(got.cell_docs()[i], want.cell_docs()[i]) << where << " cell "
-                                                       << c;
-    ASSERT_EQ(got.cell_rates()[i], want.cell_rates()[i])
-        << where << " cell " << c;
-    ASSERT_EQ(got.cell_fractions()[i], want.cell_fractions()[i])
-        << where << " cell " << c;
-  }
-  EXPECT_NEAR(got.total_rate(), want.total_rate(),
-              1e-9 * (1 + std::abs(want.total_rate())));
-}
 
 // FaultSchedule ----------------------------------------------------------
 
@@ -377,6 +355,100 @@ TEST(FaultProjector, LayersOverCapacityClampingAndStillConserves) {
   // No clamped cell sits at a down node.
   for (const NodeId v : faults.down())
     EXPECT_EQ(fp.clamped().row_begin(v), fp.clamped().row_end(v));
+}
+
+TEST(FaultProjector, DriverChainMatchesFullAndNaiveAtEveryEngineThreadCount) {
+  // Capacity then faults, chained by EpochDriver, which lends both
+  // projectors the engine's pool.  Every epoch each layer's incremental
+  // refresh must equal a fresh full projection of its base, which must
+  // equal the naive per-cell climb — and the whole stack must be
+  // identical at 1, 2 and 8 engine threads.
+  for (const std::uint64_t seed : {3u, 5u, 7u}) {
+    Rng rng(seed);
+    const RoutingTree tree = MakeRandomTree(350, rng);
+    const int docs = 7;
+    const DocumentSizes sizes = DocumentSizes::LogNormal(docs, 2048, 1.1, seed);
+    std::vector<QuotaSnapshot> servings;  // threads=1, per epoch
+    std::int64_t evicted = 0, rehomed = 0;
+    for (const int threads : {1, 2, 8}) {
+      ChurnScheduleOptions copt;
+      copt.pattern = ChurnPattern::kRotatingHotSpot;
+      copt.doc_count = docs;
+      copt.hot_fraction = 0.15;
+      copt.rotation_epochs = 4;
+      copt.seed = seed;
+      ChurnSchedule churn(tree, copt);
+      WebWaveOptions wopt;
+      wopt.threads = threads;
+      BatchWebWaveSimulator sim(tree, churn.Lanes(), wopt);
+      for (int s = 0; s < 20; ++s) sim.Step();
+      EpochDriver::Options dopt;
+      dopt.steps_per_epoch = 6;
+      dopt.min_rate = 1e-3;  // copy sets change shape across epochs
+      EpochDriver driver(sim, dopt);
+      CapacityProjector capacity(tree,
+                                 CacheStore::WorkingSetStore(tree, sizes, 0.3));
+      FaultProjector faults(tree);
+      driver.AttachCapacity(&capacity);
+      driver.AttachFaults(&faults);
+      FaultScheduleOptions fopt;
+      fopt.pattern = FaultPattern::kLeafCohort;
+      fopt.crash_fraction = 0.2;
+      fopt.outage_epochs = 2;
+      fopt.start_epoch = 1;
+      fopt.seed = seed;
+      FaultSchedule schedule(tree, fopt);
+
+      for (int epoch = 0; epoch < 6; ++epoch) {
+        std::vector<DemandEvent> demand = churn.NextEvents();
+        const std::vector<FaultEvent> events = schedule.NextEvents();
+        driver.ApplyEpoch(
+            Span<DemandEvent>(demand.data(), demand.size()),
+            Span<const FaultEvent>(events.data(), events.size()));
+
+        const QuotaSnapshot& base = driver.snapshot();
+        CapacityProjector full_cap(
+            tree, CacheStore::WorkingSetStore(tree, sizes, 0.3));
+        full_cap.Project(base);
+        ExpectSameCells(capacity.clamped(), full_cap.clamped(),
+                        "capacity refresh vs full");
+        ExpectSameCells(full_cap.clamped(),
+                        NaiveSpill(tree, base,
+                                   [&](NodeId v, int d) {
+                                     return full_cap.store().Resident(v, d);
+                                   }),
+                        "capacity full vs naive");
+
+        const QuotaSnapshot& clamped = capacity.clamped();
+        FaultProjector full_fault(tree);
+        full_fault.SetDown(
+            Span<const NodeId>(faults.down().data(), faults.down().size()));
+        full_fault.Project(clamped);
+        ExpectSameCells(faults.clamped(), full_fault.clamped(),
+                        "fault refresh vs full");
+        ExpectSameCells(full_fault.clamped(),
+                        NaiveSpill(tree, clamped,
+                                   [&](NodeId v, int d) {
+                                     return tree.is_root(v) ||
+                                            (!faults.IsDown(v) &&
+                                             clamped.CellOf(v, d) >= 0);
+                                   }),
+                        "fault full vs naive");
+
+        if (threads == 1) {
+          servings.push_back(driver.serving());
+          evicted += capacity.evicted_cells();
+          rehomed += faults.evicted_cells();
+        }
+        ExpectSameCells(driver.serving(),
+                        servings[static_cast<std::size_t>(epoch)],
+                        "engine thread sweep");
+      }
+    }
+    // The scenario exercises both layers, not just pass-through.
+    EXPECT_GT(evicted, 0) << "seed " << seed;
+    EXPECT_GT(rehomed, 0) << "seed " << seed;
+  }
 }
 
 // Failover serving --------------------------------------------------------

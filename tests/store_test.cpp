@@ -1,8 +1,9 @@
 // The capacity-constrained cache store: deterministic size models,
-// quota-weighted eviction, spill-conserving capacity projection, its
-// churn-proportional Refresh, and the end-to-end determinism of the
-// capacity-aware serving pipeline across thread counts and lane_block
-// widths.
+// quota-weighted eviction, spill-conserving capacity projection (checked
+// against a naive per-cell climb), its churn-proportional Refresh, the
+// ordering contracts and work counters of the pooled projection, and the
+// end-to-end determinism of the capacity-aware serving pipeline across
+// thread counts and lane_block widths.
 #include "store/cache_store.h"
 #include "store/capacity_projector.h"
 #include "store/document_sizes.h"
@@ -14,39 +15,19 @@
 #include <vector>
 
 #include "core/webwave_batch.h"
+#include "obs/metric_registry.h"
 #include "serve/placement_policy.h"
 #include "serve/quota_snapshot.h"
 #include "serve/request_gen.h"
 #include "serve/serving_plane.h"
 #include "sim/churn.h"
 #include "tree/builders.h"
+#include "util/worker_pool.h"
+
+#include "spill_reference.h"
 
 namespace webwave {
 namespace {
-
-// Two snapshots must agree cell for cell, byte for byte (total_rate is
-// FP-order sensitive between incremental and full paths, so it gets a
-// relative tolerance instead).
-void ExpectSameCells(const QuotaSnapshot& got, const QuotaSnapshot& want,
-                     const char* where) {
-  ASSERT_EQ(got.node_count(), want.node_count()) << where;
-  ASSERT_EQ(got.doc_count(), want.doc_count()) << where;
-  ASSERT_EQ(got.cell_count(), want.cell_count()) << where;
-  for (NodeId v = 0; v < want.node_count(); ++v) {
-    ASSERT_EQ(got.row_begin(v), want.row_begin(v)) << where << " node " << v;
-    ASSERT_EQ(got.row_end(v), want.row_end(v)) << where << " node " << v;
-  }
-  for (std::int64_t c = 0; c < want.cell_count(); ++c) {
-    const std::size_t i = static_cast<std::size_t>(c);
-    ASSERT_EQ(got.cell_docs()[i], want.cell_docs()[i]) << where << " cell " << c;
-    ASSERT_EQ(got.cell_rates()[i], want.cell_rates()[i])
-        << where << " cell " << c;
-    ASSERT_EQ(got.cell_fractions()[i], want.cell_fractions()[i])
-        << where << " cell " << c;
-  }
-  EXPECT_NEAR(got.total_rate(), want.total_rate(),
-              1e-9 * (1 + std::abs(want.total_rate())));
-}
 
 // Size models ------------------------------------------------------------
 
@@ -385,6 +366,182 @@ TEST(CapacityProjector, RefreshWithNoDirtyLanesIsANoOp) {
   const QuotaSnapshot before = projector.clamped();
   EXPECT_TRUE(projector.Refresh(base, Span<const int>()));
   ExpectSameCells(projector.clamped(), before, "no dirty lanes");
+}
+
+// Reference, contracts and work counters -----------------------------------
+
+TEST(CapacityProjector, ZeroBudgetChainSpillsEveryCopyHomeThroughTheMemo) {
+  // A 300-deep chain holding both documents at every node, with nothing
+  // fitting anywhere: every copy but the home's spills to the root.  Two
+  // numberings — ids growing away from the root (each climb is one step
+  // onto a resolved parent) and toward it (the first climb walks the
+  // whole chain and the rest hit its memo) — both stay linear.
+  const int n = 300, docs = 2;
+  std::vector<NodeId> away(static_cast<std::size_t>(n)),
+      toward(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    away[static_cast<std::size_t>(i)] = i == 0 ? kNoNode : i - 1;
+    toward[static_cast<std::size_t>(i)] = i == n - 1 ? kNoNode : i + 1;
+  }
+  for (const std::vector<NodeId>& parents : {away, toward}) {
+    const RoutingTree tree = RoutingTree::FromParents(parents);
+    const auto make_base = [&](double bump) {
+      QuotaSnapshot::Builder b(n, docs);
+      for (NodeId v = 0; v < n; ++v)
+        for (int d = 0; d < docs; ++d)
+          b.Add(v, d, 1.0 + 0.01 * v + d * (1.0 + bump),
+                (v + d) % 2 == 0 ? 0.25 : 0.75);
+      return std::move(b).Build();
+    };
+    const auto store = [&] {
+      return CacheStore::WorkingSetStore(
+          tree, DocumentSizes::Uniform(docs, 100), 0.0);
+    };
+    const QuotaSnapshot base = make_base(0.0);
+    CapacityProjector incr(tree, store());
+    incr.Project(base);
+    const auto resident_in = [](const CapacityProjector& p) {
+      return [&p](NodeId v, int d) { return p.store().Resident(v, d); };
+    };
+    ExpectSameCells(incr.clamped(), NaiveSpill(tree, base, resident_in(incr)),
+                    "chain project vs naive");
+    EXPECT_EQ(incr.evicted_cells(), docs * (n - 1));
+    EXPECT_EQ(incr.work().climb_steps, docs * (n - 1));
+    EXPECT_EQ(incr.clamped().cell_count(), docs);  // the home's cells only
+
+    // Document 1's rates move: Refresh == Project == naive.
+    const QuotaSnapshot moved = make_base(0.5);
+    const int dirty[] = {1};
+    incr.Refresh(moved, Span<const int>(dirty, 1));
+    CapacityProjector full(tree, store());
+    full.Project(moved);
+    ExpectSameCells(incr.clamped(), full.clamped(), "chain refresh vs full");
+    ExpectSameCells(full.clamped(), NaiveSpill(tree, moved, resident_in(full)),
+                    "chain full vs naive");
+  }
+}
+
+// Opens the protected incremental entry point for the contract test.
+class OpenCapacityProjector : public CapacityProjector {
+ public:
+  using CapacityProjector::CapacityProjector;
+  using SpillProjector::Reproject;
+};
+
+TEST(CapacityProjector, OrderingContractsRejectUnsortedLists) {
+  // Pool blocks write per-row and per-document state, and merge in list
+  // order: an unsorted or repeated list must be refused up front.
+  Rng rng(61);
+  const RoutingTree tree = MakeRandomTree(60, rng);
+  const int docs = 4;
+  std::vector<std::vector<double>> lanes(static_cast<std::size_t>(docs));
+  for (auto& lane : lanes) {
+    lane.assign(static_cast<std::size_t>(tree.size()), 0.0);
+    for (auto& r : lane) r = rng.NextDouble(0, 3);
+  }
+  BatchWebWaveSimulator sim(tree, lanes, {});
+  for (int s = 0; s < 10; ++s) sim.Step();
+  const QuotaSnapshot base = QuotaSnapshot::FromBatch(sim, 1e-9);
+  const DocumentSizes sizes = DocumentSizes::Uniform(docs, 1000);
+
+  OpenCapacityProjector projector(
+      tree, CacheStore::WorkingSetStore(tree, sizes, 0.5));
+  projector.Project(base);
+  EXPECT_THROW(projector.Reproject(base, {2, 1}), std::invalid_argument);
+  EXPECT_THROW(projector.Reproject(base, {1, 1}), std::invalid_argument);
+  EXPECT_NO_THROW(projector.Reproject(base, {1, 2}));
+
+  CacheStore store = CacheStore::WorkingSetStore(tree, sizes, 0.5);
+  store.Admit(base);
+  std::vector<DocId> changed;
+  const NodeId unsorted[] = {3, 1};
+  const NodeId repeated[] = {2, 2};
+  EXPECT_THROW(store.Readmit(base, Span<const NodeId>(unsorted, 2), &changed),
+               std::invalid_argument);
+  EXPECT_THROW(store.Readmit(base, Span<const NodeId>(repeated, 2), &changed),
+               std::invalid_argument);
+}
+
+TEST(CapacityProjector, WorkCountersMatchAcrossPoolsAndCheckEachCellOnce) {
+  Rng rng(67);
+  const RoutingTree tree = MakeRandomTree(500, rng);
+  const int docs = 10;
+  ChurnScheduleOptions copt;
+  copt.pattern = ChurnPattern::kRotatingHotSpot;
+  copt.doc_count = docs;
+  copt.hot_fraction = 0.15;
+  copt.rotation_epochs = 4;
+  ChurnSchedule schedule(tree, copt);
+  BatchWebWaveSimulator sim(tree, schedule.Lanes(), {});
+  for (int s = 0; s < 30; ++s) sim.Step();
+
+  // One base per epoch plus the dirty lanes that produced it, replayed
+  // through projectors that borrow pools of different sizes.
+  std::vector<QuotaSnapshot> bases = {QuotaSnapshot::FromBatch(sim, 1e-3)};
+  std::vector<std::vector<int>> dirty(1);
+  sim.ClearDirtyLanes();
+  for (int epoch = 0; epoch < 5; ++epoch) {
+    sim.ApplyDemandEvents(schedule.NextEvents());
+    for (int s = 0; s < 8; ++s) sim.Step();
+    dirty.push_back(sim.DirtyLanes());
+    QuotaSnapshot next = bases.back();
+    next.RefreshFromBatch(sim);
+    bases.push_back(std::move(next));
+    sim.ClearDirtyLanes();
+  }
+
+  const DocumentSizes sizes = DocumentSizes::LogNormal(docs, 2048, 1.1, 71);
+  std::vector<std::vector<SpillProjector::WorkCounters>> runs;
+  std::vector<QuotaSnapshot> first_clamps;
+  for (const int threads : {1, 2, 8}) {
+    WorkerPool pool(threads);
+    CapacityProjector projector(tree,
+                                CacheStore::WorkingSetStore(tree, sizes, 0.3));
+    projector.set_pool(&pool);
+    MetricRegistry registry;
+    std::vector<SpillProjector::WorkCounters> work;
+    for (std::size_t e = 0; e < bases.size(); ++e) {
+      if (e == 0)
+        projector.Project(bases[0]);
+      else
+        projector.Refresh(bases[e],
+                          Span<const int>(dirty[e].data(), dirty[e].size()));
+      if (threads == 1) first_clamps.push_back(projector.clamped());
+      ExpectSameCells(projector.clamped(), first_clamps[e], "pool sweep");
+      // The predicate runs exactly once per base cell of every
+      // re-projected document, and each emits its clamped column.
+      const SpillProjector::WorkCounters& w = projector.work();
+      std::int64_t column = 0, clamped = 0;
+      for (const std::int32_t d : projector.last_affected_docs()) {
+        column += static_cast<std::int64_t>(bases[e].DocNodes(d).size());
+        clamped +=
+            static_cast<std::int64_t>(projector.clamped().DocNodes(d).size());
+      }
+      EXPECT_EQ(w.survivor_checks, column) << "epoch " << e;
+      EXPECT_EQ(w.cells_projected, clamped) << "epoch " << e;
+      // Each node is climbed through at most once per document.
+      const std::int64_t affected = static_cast<std::int64_t>(
+          projector.last_affected_docs().size());
+      EXPECT_LE(w.climb_steps, affected * tree.size());
+      projector.PublishMetrics(&registry, "capacity.");
+      EXPECT_EQ(registry.gauge(registry.Gauge("capacity.survivor_checks")),
+                w.survivor_checks);
+      EXPECT_EQ(registry.gauge(registry.Gauge("capacity.rows_ranked")),
+                w.rows_ranked);
+      work.push_back(w);
+    }
+    runs.push_back(work);
+  }
+  for (std::size_t r = 1; r < runs.size(); ++r)
+    for (std::size_t e = 0; e < bases.size(); ++e) {
+      EXPECT_EQ(runs[r][e].survivor_checks, runs[0][e].survivor_checks);
+      EXPECT_EQ(runs[r][e].climb_steps, runs[0][e].climb_steps);
+      EXPECT_EQ(runs[r][e].rows_ranked, runs[0][e].rows_ranked);
+      EXPECT_EQ(runs[r][e].cells_projected, runs[0][e].cells_projected);
+    }
+  // The scenario evicts: ranking and climbing actually happen.
+  EXPECT_GT(runs[0][0].rows_ranked, 0);
+  EXPECT_GT(runs[0][0].climb_steps, 0);
 }
 
 // Capacity-aware serving --------------------------------------------------

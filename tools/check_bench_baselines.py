@@ -1,16 +1,24 @@
 #!/usr/bin/env python3
-"""Warn-only throughput regression check for the smoke-bench JSON artifacts.
+"""Regression check for the smoke-bench JSON artifacts.
 
 Compares freshly produced BENCH_*.json files against the committed
 baselines in bench/baselines/ and prints a GitHub Actions `::warning::`
 annotation for every throughput field that fell below
 `threshold x baseline`.  The 2-thread smoke artifacts (the `t2/`
 subdirectory CI stashes) are compared the same way against
-bench/baselines/t2/ when both sides exist.  The check never fails the
+bench/baselines/t2/ when both sides exist.  Throughput never fails the
 build — CI runners are noisy and heterogeneous; the point is to surface
-a suspicious drop on the PR, not to gate on it.  Refresh a baseline by
+a suspicious drop on the PR, not to gate on it.
+
+Deterministic work counters are different: they are pure functions of
+the inputs, identical on every host and at every thread count, so a
+change in one is a change in what the code does.  Fields listed in EXACT
+must equal the baseline record's value exactly; any difference (or a
+counter the artifact stopped emitting) prints `::error::` and makes the
+script exit 1 with or without `--strict`.  Refresh a baseline by
 copying the smoke artifact over the file in bench/baselines/ (or
-bench/baselines/t2/) when a change legitimately moves the numbers.
+bench/baselines/t2/) when a change legitimately moves the numbers, and
+say so in CHANGES.md.
 
 Usage: check_bench_baselines.py [--baselines DIR] [--current DIR]
                                 [--threshold 0.5] [--strict]
@@ -21,7 +29,7 @@ artifacts (the per-epoch timeline and the trace sample) are validated
 structurally — present-but-empty files and unparseable lines are
 warnings, since an empty timeline means the telemetry plane silently
 stopped emitting.  `--strict` turns any warning into a non-zero exit for
-local use; CI stays warn-only.
+local use; CI runs without it.
 """
 
 import argparse
@@ -61,6 +69,14 @@ RULES = {
                            ("lane_steps_per_sec",)),
 }
 
+# bench name -> deterministic work counters that must match the baseline
+# exactly (hard failure).  tab_capacity records SpillProjector's counters
+# for every projection; "quarter_" prefixes the closed loop's 0.25x store.
+_WORK = ("survivor_checks", "climb_steps", "rows_ranked", "cells_projected")
+EXACT = {
+    "tab_capacity": _WORK + tuple("quarter_" + f for f in _WORK),
+}
+
 # JSON-lines artifacts emitted by the telemetry plane.  No baselines (the
 # records carry wall-clock phase timings); the check is structural: if the
 # file exists it must be non-empty and every line must parse as JSON.
@@ -85,9 +101,10 @@ def key_of(bench, run):
 
 
 def check_dir(baselines, current, threshold, label):
-    """Compares one artifact directory; returns (compared, warned)."""
+    """Compares one artifact directory; returns (compared, warned, failed)."""
     warned = 0
     compared = 0
+    failed = 0
     for name in sorted(os.listdir(baselines)):
         if not (name.startswith("BENCH_") and name.endswith(".json")):
             continue
@@ -122,6 +139,17 @@ def check_dir(baselines, current, threshold, label):
             if got is None:
                 print(f"note: {label}{name}: no current run for {dict(key)}")
                 continue
+            for field in EXACT.get(bench, ()):
+                if field not in run:
+                    continue
+                compared += 1
+                if got.get(field) != run[field]:
+                    failed += 1
+                    print(f"::error title=work counter changed ({bench}, "
+                          f"{label or '1 thread'})::"
+                          f"{field} at {dict(key)} is {got.get(field)!r}, "
+                          f"baseline {run[field]!r} — deterministic "
+                          f"counters must match exactly")
             for field in fields:
                 want = run.get(field)
                 have = got.get(field)
@@ -149,7 +177,7 @@ def check_dir(baselines, current, threshold, label):
                   f"was produced by the smoke run but has no committed "
                   f"baseline — copy it to "
                   f"{os.path.join(baselines, name)} to start tracking it")
-    return compared, warned
+    return compared, warned, failed
 
 
 def check_jsonl(current, label):
@@ -193,25 +221,28 @@ def main():
                          "default warn-only behaviour)")
     args = ap.parse_args()
 
-    compared, warned = check_dir(args.baselines, args.current,
-                                 args.threshold, "")
+    compared, warned, failed = check_dir(args.baselines, args.current,
+                                         args.threshold, "")
     warned += check_jsonl(args.current, "")
     t2_base = os.path.join(args.baselines, "t2")
     t2_cur = os.path.join(args.current, "t2")
     if os.path.isdir(t2_base) and os.path.isdir(t2_cur):
-        c2, w2 = check_dir(t2_base, t2_cur, args.threshold, "t2/")
+        c2, w2, f2 = check_dir(t2_base, t2_cur, args.threshold, "t2/")
         compared += c2
         warned += w2
+        failed += f2
         warned += check_jsonl(t2_cur, "t2/")
     else:
         print("note: no t2 baselines or artifacts, skipping the "
               "2-thread comparison")
     print(f"bench baseline check: {compared} fields compared, "
-          f"{warned} warning(s)")
+          f"{warned} warning(s), {failed} work-counter mismatch(es)")
+    if failed > 0:
+        return 1
     if args.strict and warned > 0:
         print("strict mode: failing on warnings")
         return 1
-    return 0  # warn-only by design in CI
+    return 0  # throughput stays warn-only in CI
 
 
 if __name__ == "__main__":
