@@ -1,188 +1,48 @@
 #include "core/webwave.h"
 
-#include <algorithm>
-#include <cmath>
+#include <cstdint>
 #include <utility>
 
-#include "core/load_model.h"
 #include "stats/summary.h"
 #include "util/check.h"
 
 namespace webwave {
+namespace {
+
+std::vector<std::vector<double>> OneLane(std::vector<double> spontaneous) {
+  std::vector<std::vector<double>> lanes;
+  lanes.push_back(std::move(spontaneous));
+  return lanes;
+}
+
+WebWaveOptions OneBlock(WebWaveOptions options) {
+  options.threads = 1;
+  options.lane_block = 1;
+  return options;
+}
+
+}  // namespace
 
 WebWaveSimulator::WebWaveSimulator(const RoutingTree& tree,
                                    std::vector<double> spontaneous,
-                                   WebWaveOptions options,
-                                   internal::SharedEdgeArrays edges)
-    : tree_(tree),
-      spontaneous_(std::move(spontaneous)),
-      options_(options),
-      rng_(options.seed) {
-  const int n = tree_.size();
-  WEBWAVE_REQUIRE(spontaneous_.size() == static_cast<std::size_t>(n),
+                                   WebWaveOptions options)
+    : lane_(tree, OneLane(std::move(spontaneous)),
+            OneBlock(std::move(options))) {}
+
+void WebWaveSimulator::UpdateSpontaneous(
+    const std::vector<double>& spontaneous) {
+  WEBWAVE_REQUIRE(spontaneous.size() == served().size(),
                   "spontaneous size mismatch");
-  for (const double e : spontaneous_)
-    WEBWAVE_REQUIRE(e >= 0, "spontaneous rates must be non-negative");
-  WEBWAVE_REQUIRE(options_.gossip_period >= 1, "gossip period must be >= 1");
-  WEBWAVE_REQUIRE(options_.gossip_delay >= 0, "gossip delay must be >= 0");
-  if (options_.alpha_policy == AlphaPolicy::kFixed ||
-      options_.alpha_policy == AlphaPolicy::kFixedUncapped)
-    WEBWAVE_REQUIRE(options_.alpha > 0 && options_.alpha <= 0.5,
-                    "fixed alpha must be in (0, 0.5]");
-  if (options_.capacities.empty()) {
-    capacity_.assign(static_cast<std::size_t>(n), 1.0);
-  } else {
-    WEBWAVE_REQUIRE(
-        options_.capacities.size() == static_cast<std::size_t>(n),
-        "capacities size mismatch");
-    for (const double c : options_.capacities)
-      WEBWAVE_REQUIRE(c > 0, "capacities must be positive");
-    capacity_ = options_.capacities;
-  }
-
-  // Initial condition.
-  served_.assign(static_cast<std::size_t>(n), 0.0);
-  switch (options_.initial_load) {
-    case InitialLoad::kAllAtRoot:
-      served_[static_cast<std::size_t>(tree_.root())] =
-          TotalRate(spontaneous_);
-      break;
-    case InitialLoad::kSelfService:
-      served_ = spontaneous_;
-      break;
-  }
-  forwarded_ = ForwardedRates(tree_, spontaneous_, served_);
-
-  // Flatten the edges into parallel arrays, ascending child id, with their
-  // diffusion parameters — the fixed sweep order every Step() follows —
-  // unless the caller already holds a shared build for this tree.
-  if (edges != nullptr) {
-    WEBWAVE_REQUIRE(edges->MatchesTree(tree_),
-                    "shared edge arrays do not match the tree");
-    WEBWAVE_REQUIRE(edges->MatchesOptions(options_),
-                    "shared edge arrays were built under a different "
-                    "alpha policy");
-    edges_ = std::move(edges);
-  } else {
-    edges_ = internal::BuildSharedEdgeArrays(tree_, options_);
-  }
-  // Instantaneous gossip (the default, period 1 / delay 0) needs no
-  // estimate storage at all: a refresh would copy the served vector into
-  // the plane at the end of every step, so during phase 1 of the next
-  // step the plane is bitwise the current served vector — the kernel
-  // reads served directly instead (see Step).
-  if (!InstantGossip()) est_plane_.assign(static_cast<std::size_t>(n), 0.0);
-  delta_.assign(edges_->size(), 0.0);
-
-  if (options_.gossip_delay > 0) {
-    history_.assign(
-        (static_cast<std::size_t>(options_.gossip_delay) + 1) * served_.size(),
-        0.0);
-    std::copy(served_.begin(), served_.end(), history_.begin());
-  }
-  RefreshEstimates();
-}
-
-bool WebWaveSimulator::InstantGossip() const {
-  return options_.gossip_period == 1 && options_.gossip_delay == 0;
-}
-
-const double* WebWaveSimulator::DelayedServedView() const {
-  if (options_.gossip_delay == 0) return served_.data();
-  const std::size_t slots =
-      static_cast<std::size_t>(options_.gossip_delay) + 1;
-  const std::size_t lag = std::min(
-      static_cast<std::size_t>(options_.gossip_delay), history_filled_ - 1);
-  return history_.data() +
-         ((history_head_ + slots - lag) % slots) * served_.size();
-}
-
-void WebWaveSimulator::PushHistory() {
-  if (options_.gossip_delay == 0) return;
-  const std::size_t slots =
-      static_cast<std::size_t>(options_.gossip_delay) + 1;
-  history_head_ = (history_head_ + 1) % slots;
-  history_filled_ = std::min(history_filled_ + 1, slots);
-  std::copy(served_.begin(), served_.end(),
-            history_.begin() + history_head_ * served_.size());
-}
-
-void WebWaveSimulator::RefreshEstimates() {
-  // Gossip delivers the load vector as it was gossip_delay steps ago — one
-  // straight copy into the node-indexed estimate plane (the step kernel
-  // reads the edge endpoints out of the plane directly).  Instantaneous
-  // gossip keeps no plane: the kernel reads the live served vector.
-  if (InstantGossip()) return;
-  const double* view = DelayedServedView();
-  std::copy(view, view + served_.size(), est_plane_.begin());
-}
-
-void WebWaveSimulator::Step() {
-  // The two-phase round of Figure 5 (see webwave_kernel.h): decide every
-  // transfer from one snapshot, then apply them edge-atomically.  Width-1
-  // call of the same blocked kernel the batch engine sweeps.  Phase 1
-  // reads estimates before phase 2 writes anything, so under
-  // instantaneous gossip the served vector itself serves as the estimate
-  // plane — bitwise the same values a per-step refresh would have copied.
-  internal::StepLaneBlock(*edges_, capacity_.data(), options_, &rng_, 1,
-                          served_.data(), forwarded_.data(),
-                          InstantGossip() ? served_.data() : est_plane_.data(),
-                          delta_.data());
-
-  ++steps_;
-  PushHistory();
-  if (steps_ % options_.gossip_period == 0) RefreshEstimates();
-}
-
-void WebWaveSimulator::UpdateSpontaneous(std::vector<double> spontaneous) {
-  WEBWAVE_REQUIRE(
-      spontaneous.size() == static_cast<std::size_t>(tree_.size()),
-      "spontaneous size mismatch");
-  for (const double e : spontaneous)
-    WEBWAVE_REQUIRE(e >= 0, "spontaneous rates must be non-negative");
-  spontaneous_ = std::move(spontaneous);
-  ReprojectAfterChurn();
-}
-
-void WebWaveSimulator::ApplyDemandEvents(Span<DemandEvent> events) {
-  if (events.empty()) return;
-  // Validate the whole batch before mutating anything: a throw must leave
-  // the simulator exactly as it was (the strong guarantee
-  // UpdateSpontaneous gets from validating its full vector up front).
-  for (const DemandEvent& e : events) {
-    WEBWAVE_REQUIRE(e.doc == 0,
-                    "single-document simulator: event doc must be 0");
-    WEBWAVE_REQUIRE(e.node >= 0 && e.node < tree_.size(),
-                    "demand event node out of range");
-    WEBWAVE_REQUIRE(e.rate >= 0, "spontaneous rates must be non-negative");
-  }
-  for (const DemandEvent& e : events)
-    spontaneous_[static_cast<std::size_t>(e.node)] = e.rate;
-  ReprojectAfterChurn();
-}
-
-void WebWaveSimulator::ReprojectAfterChurn() {
-  // Project the served vector onto the new feasible set (ProjectLane,
-  // shared with the batch engine): each node may serve at most what now
-  // arrives at it; the shortfall travels up and the root absorbs whatever
-  // remains unclaimed (it is the authoritative copy).  This models servers
-  // instantly noticing their streams thinned.
-  internal::ProjectLane(tree_, spontaneous_.data(), served_.data(),
-                        forwarded_.data());
-  // History must restart so stale pre-churn vectors are never gossiped,
-  // and the estimates are refreshed immediately: with gossip_period > 1
-  // the first post-churn steps would otherwise diffuse against pre-churn
-  // estimates, moving load on imbalances that no longer exist.
-  if (options_.gossip_delay > 0) {
-    history_head_ = 0;
-    history_filled_ = 1;
-    std::copy(served_.begin(), served_.end(), history_.begin());
-  }
-  RefreshEstimates();
+  // One event per node: ApplyDemandEvents validates the whole batch
+  // before it writes anything, then re-projects the lane once.
+  std::vector<DemandEvent> events(spontaneous.size());
+  for (std::size_t v = 0; v < events.size(); ++v)
+    events[v] = {0, static_cast<std::int32_t>(v), spontaneous[v]};
+  lane_.ApplyDemandEvents(events);
 }
 
 double WebWaveSimulator::DistanceTo(const std::vector<double>& target) const {
-  return EuclideanDistance(served_, target);
+  return EuclideanDistance(served(), target);
 }
 
 std::vector<double> WebWaveSimulator::RunUntil(
@@ -193,21 +53,6 @@ std::vector<double> WebWaveSimulator::RunUntil(
     trajectory.push_back(DistanceTo(target));
   }
   return trajectory;
-}
-
-void WebWaveSimulator::CheckInvariants(double tol) const {
-  const double total = TotalRate(spontaneous_);
-  WEBWAVE_ASSERT(std::abs(TotalRate(served_) - total) <=
-                     tol * (1 + std::abs(total)),
-                 "flow conservation violated");
-  const std::vector<double> expect =
-      ForwardedRates(tree_, spontaneous_, served_);
-  for (std::size_t i = 0; i < served_.size(); ++i) {
-    WEBWAVE_ASSERT(served_[i] >= -tol, "negative served rate");
-    WEBWAVE_ASSERT(forwarded_[i] >= -tol, "NSS violated (negative A)");
-    WEBWAVE_ASSERT(std::abs(forwarded_[i] - expect[i]) <= tol * (1 + total),
-                   "tracked A diverged from flow-conservation A");
-  }
 }
 
 }  // namespace webwave

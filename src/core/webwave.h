@@ -18,71 +18,59 @@
 // Invariants maintained exactly (checked by tests after every step):
 //   Σ L = Σ E (flow conservation),  L >= 0,  A >= 0 (NSS),  A_root = 0.
 //
-// Layout: the simulator is structure-of-arrays over *edges*.  The tree's
-// n − 1 edges are flattened once at construction into parallel arrays
-// (edges_->parent[k], edges_->child[k], edges_->alpha[k] — see
-// webwave_kernel.h, shared with the batched simulator; pass a
-// SharedEdgeArrays to reuse one build across several simulators over the
-// same tree) in ascending child-id order.  Gossiped neighbor estimates
-// live in a single node-indexed *estimate plane* (est_plane_[v] = the load
-// of v as gossip last delivered it): the step kernel reads the two
-// endpoint slots of each edge directly, so one n-sized plane replaces the
-// two edge-indexed estimate arrays the previous layout materialized, and a
-// gossip refresh is a straight n-element copy instead of a 2(n−1)-element
-// gather.  delta_[k] is the transfer decided this round.  Step() is two
-// linear sweeps over k with no pointer chasing and no per-neighbor search.
-// Past served vectors for delayed gossip sit in a fixed-capacity flat ring
-// buffer of gossip_delay + 1 slots — no allocation after construction;
-// with zero delay the ring is elided and gossip reads the live served
-// vector.
+// There is one diffusion engine, BatchWebWaveSimulator (webwave_batch.h);
+// this class is its one-document view: a batch of a single lane, block
+// width 1 and one thread.  At width 1 the batch's blocked arrays are the
+// plain node-indexed vectors, so served(), forwarded() and spontaneous()
+// return them directly, and DistanceTo / RunUntil read them without a
+// gather.  Everything else — gossip ring, estimate plane, RNG stream
+// (seeded options.seed), edge build, churn projection and input
+// validation — is the batch's.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
-#include "core/webwave_kernel.h"
+#include "core/webwave_batch.h"
 #include "core/webwave_options.h"
 #include "tree/routing_tree.h"
-#include "util/rng.h"
 #include "util/span.h"
 
 namespace webwave {
 
 class WebWaveSimulator {
  public:
-  // `edges` optionally shares one flattened edge structure between several
-  // simulators over the same tree and alpha policy (see
-  // internal::BuildSharedEdgeArrays); null builds a private copy.
+  // options.threads and options.lane_block are ignored: one document is
+  // one block of width 1, stepped on the calling thread.
   WebWaveSimulator(const RoutingTree& tree, std::vector<double> spontaneous,
-                   WebWaveOptions options = {},
-                   internal::SharedEdgeArrays edges = nullptr);
-
-  // The edge structure this simulator sweeps — pass to further simulators
-  // over the same tree to share the build.
-  internal::SharedEdgeArrays shared_edges() const { return edges_; }
+                   WebWaveOptions options = {});
 
   // Executes one diffusion period for every server.
-  void Step();
+  void Step() { lane_.Step(); }
 
   // Replaces the spontaneous request rates mid-run ("erratic request
   // rates", §5.1's ongoing-study scenario).  The current served vector is
   // projected onto the new feasible set: in postorder, every node keeps
   // min(L_v, arriving flow) and the remainder shifts toward the root,
-  // which always absorbs it.  Invariants hold immediately afterwards.
-  void UpdateSpontaneous(std::vector<double> spontaneous);
+  // which always absorbs it.  Invariants hold immediately afterwards; the
+  // gossip history restarts and the estimates are refreshed.  A rejected
+  // vector leaves the simulator untouched.
+  void UpdateSpontaneous(const std::vector<double>& spontaneous);
 
   // The batched form of UpdateSpontaneous: each event sets one node's
-  // spontaneous rate (doc must be 0 — this simulator runs one document);
-  // the served vector is re-projected once after the whole batch, so
-  // applying {events} equals calling UpdateSpontaneous with the merged
-  // vector.  An empty batch is a no-op (no projection, no estimate
-  // refresh).
-  void ApplyDemandEvents(Span<DemandEvent> events);
+  // spontaneous rate (doc must be 0); the served vector is re-projected
+  // once after the whole batch, so applying {events} equals calling
+  // UpdateSpontaneous with the merged vector.  An empty batch is a no-op;
+  // a rejected batch leaves the simulator untouched.
+  void ApplyDemandEvents(Span<DemandEvent> events) {
+    lane_.ApplyDemandEvents(events);
+  }
 
-  int steps() const { return steps_; }
-  const std::vector<double>& served() const { return served_; }
-  const std::vector<double>& forwarded() const { return forwarded_; }
-  const std::vector<double>& spontaneous() const { return spontaneous_; }
+  int steps() const { return lane_.steps(); }
+  const std::vector<double>& served() const { return lane_.served_; }
+  const std::vector<double>& forwarded() const { return lane_.forwarded_; }
+  const std::vector<double>& spontaneous() const {
+    return lane_.spontaneous_;
+  }
 
   // Euclidean distance from the current served vector to a target
   // assignment — the paper's convergence metric.
@@ -96,43 +84,12 @@ class WebWaveSimulator {
 
   // Verifies the state invariants listed in the file comment.
   // Throws std::logic_error on violation.
-  void CheckInvariants(double tol = 1e-6) const;
+  void CheckInvariants(double tol = 1e-6) const {
+    lane_.CheckInvariants(tol);
+  }
 
  private:
-  // Gossip period 1 with delay 0 (the paper's instantaneous-gossip
-  // default): the estimate plane would always equal the start-of-step
-  // served vector, so none is kept and the kernel reads served directly.
-  bool InstantGossip() const;
-  void RefreshEstimates();
-  // Projection + gossip restart shared by UpdateSpontaneous and
-  // ApplyDemandEvents (see the comment in UpdateSpontaneous's body).
-  void ReprojectAfterChurn();
-  // The served vector as it looked gossip_delay steps ago (clamped to the
-  // oldest recorded state); the live vector when the delay is zero.
-  const double* DelayedServedView() const;
-  void PushHistory();
-
-  const RoutingTree& tree_;
-  std::vector<double> spontaneous_;
-  std::vector<double> capacity_;   // all ones under the paper's assumption
-  std::vector<double> served_;     // L
-  std::vector<double> forwarded_;  // A
-  WebWaveOptions options_;
-  Rng rng_;
-  int steps_ = 0;
-
-  // Structure-of-arrays edge layout (see file comment): slot k describes
-  // the tree edge to child edges_->child[k], in ascending child-id order.
-  internal::SharedEdgeArrays edges_;
-  std::vector<double> est_plane_;  // node-indexed gossiped load estimates
-  std::vector<double> delta_;     // per-edge transfer scratch
-
-  // Flat ring of past served vectors: slot (history_head_) is the current
-  // step, slot (history_head_ − d) the vector d steps ago.  Sized
-  // (gossip_delay + 1) · n; empty when gossip_delay == 0.
-  std::vector<double> history_;
-  std::size_t history_head_ = 0;
-  std::size_t history_filled_ = 1;
+  BatchWebWaveSimulator lane_;
 };
 
 }  // namespace webwave

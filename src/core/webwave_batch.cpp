@@ -38,9 +38,8 @@ BatchWebWaveSimulator::BatchWebWaveSimulator(
     capacity_ = options_.capacities;
   }
 
-  // Shared edge structure, identical to WebWaveSimulator's by
-  // construction: both come from the same builder (or literally the same
-  // shared build when the caller passes one).
+  // Shared edge structure: a private build, or the caller's shared one
+  // after checking it describes this tree under these alpha options.
   if (edges != nullptr) {
     WEBWAVE_REQUIRE(edges->MatchesTree(tree_),
                     "shared edge arrays do not match the tree");
@@ -100,11 +99,13 @@ BatchWebWaveSimulator::BatchWebWaveSimulator(
     spont = std::vector<double>();
   }
 
-  // Gossip plane arena: every block's front plane (and, with delayed
-  // gossip, its ring slots) starts as a copy of the block's served state.
-  // Instantaneous gossip (period 1 / delay 0, the default) keeps no arena
-  // at all — the kernel reads the served block directly, which is bitwise
-  // what a per-step refresh would have installed.
+  // Gossip plane arena: every buffer of a block — ring slots (delayed
+  // gossip only) and the front plane — starts as a copy of the block's
+  // served state (only ring slot 0 and the front plane are read before
+  // their next write).  Instantaneous gossip (period 1 / delay 0, the
+  // default) keeps no arena at all — the kernel reads the served block
+  // directly, which is bitwise what a per-step refresh would have
+  // installed.
   const std::size_t spb = static_cast<std::size_t>(slots_per_block());
   if (!InstantGossip()) {
     gossip_arena_.assign(spb * lanes * nn, 0.0);
@@ -113,25 +114,12 @@ BatchWebWaveSimulator::BatchWebWaveSimulator(
   for (int g = 0; g < blocks_ && !InstantGossip(); ++g) {
     const std::size_t block_doubles =
         static_cast<std::size_t>(BlockWidth(g)) * nn;
-    const std::size_t arena_base = spb * BlockNodeBase(g);
-    for (std::size_t s = 0; s < spb; ++s)
-      plane_off_[static_cast<std::size_t>(g) * spb + s] =
-          arena_base + s * block_doubles;
-    std::copy(served_.begin() +
-                  static_cast<std::ptrdiff_t>(BlockNodeBase(g)),
-              served_.begin() +
-                  static_cast<std::ptrdiff_t>(BlockNodeBase(g) + block_doubles),
-              gossip_arena_.begin() +
-                  static_cast<std::ptrdiff_t>(plane_off_[
-                      static_cast<std::size_t>(g) * spb + spb - 1]));
-    if (options_.gossip_delay > 0)
-      std::copy(served_.begin() +
-                    static_cast<std::ptrdiff_t>(BlockNodeBase(g)),
-                served_.begin() + static_cast<std::ptrdiff_t>(
-                                      BlockNodeBase(g) + block_doubles),
-                gossip_arena_.begin() +
-                    static_cast<std::ptrdiff_t>(plane_off_[
-                        static_cast<std::size_t>(g) * spb]));
+    const double* block = served_.data() + BlockNodeBase(g);
+    for (std::size_t s = 0; s < spb; ++s) {
+      const std::size_t off = spb * BlockNodeBase(g) + s * block_doubles;
+      plane_off_[static_cast<std::size_t>(g) * spb + s] = off;
+      std::copy(block, block + block_doubles, gossip_arena_.data() + off);
+    }
   }
   block_head_.assign(static_cast<std::size_t>(blocks_), 0);
   lane_filled_.assign(lanes, 1);
@@ -272,12 +260,11 @@ void BatchWebWaveSimulator::RefreshBlockEstimates(int g) {
 }
 
 void BatchWebWaveSimulator::Step() {
-  // Per block, the exact two-phase round of WebWaveSimulator::Step() (the
-  // same kernel, see webwave_kernel.h) followed by the block's gossip
-  // bookkeeping.  Everything a block touches — load slices, planes, RNGs,
-  // ring positions — is its own, so the block sweep parallelizes with no
-  // synchronization beyond the pool barrier, and the static partition
-  // keeps results bit-identical to the serial order.
+  // Per block, the two-phase round of webwave_kernel.h followed by the
+  // block's gossip bookkeeping.  Everything a block touches — load
+  // slices, planes, RNGs, ring positions — is its own, so the block sweep
+  // parallelizes with no synchronization beyond the pool barrier, and the
+  // static partition keeps results bit-identical to the serial order.
   const std::size_t edge_count = edges_->size();
   const bool instant = InstantGossip();
   const bool push_history = options_.gossip_delay > 0;
@@ -294,19 +281,29 @@ void BatchWebWaveSimulator::Step() {
         double* delta = scratch.data();
         for (std::size_t gi = begin; gi < end; ++gi) {
           const int g = static_cast<int>(gi);
+          const int width = BlockWidth(g);
           const std::size_t base = BlockNodeBase(g);
+          const std::size_t lane0 = static_cast<std::size_t>(g) *
+                                    static_cast<std::size_t>(block_);
+          double* served = served_.data() + base;
+          double* forwarded = forwarded_.data() + base;
           // Phase 1 reads estimates before phase 2 writes, so under
           // instantaneous gossip the served block doubles as the
           // estimate plane (same bytes a per-step refresh would copy).
-          internal::StepLaneBlock(
-              *edges_, capacity_.data(), options_,
-              lane_rng_.data() + static_cast<std::size_t>(g) *
-                                     static_cast<std::size_t>(block_),
-              BlockWidth(g), served_.data() + base, forwarded_.data() + base,
-              instant ? served_.data() + base : PlaneAt(g, FrontSlot()),
-              delta,
-              dirty_.data() + static_cast<std::size_t>(g) *
-                                  static_cast<std::size_t>(block_));
+          const double* est = instant ? served : PlaneAt(g, FrontSlot());
+          Rng* rng = lane_rng_.data() + lane0;
+          std::uint8_t* changed = dirty_.data() + lane0;
+          // Width 1 (the one-document simulator) gets the kernel
+          // specialised for it: the runtime-width loop at width 1 steps
+          // 1.3–1.7× slower (BM_WebWaveStep, 10⁴–10⁵ nodes).
+          if (width == 1)
+            internal::StepLaneBlock<1>(*edges_, capacity_.data(), options_,
+                                       rng, 1, served, forwarded, est, delta,
+                                       changed);
+          else
+            internal::StepLaneBlock(*edges_, capacity_.data(), options_, rng,
+                                    width, served, forwarded, est, delta,
+                                    changed);
           if (push_history) PushBlockHistory(g);
           if (refresh) RefreshBlockEstimates(g);
         }
@@ -315,9 +312,11 @@ void BatchWebWaveSimulator::Step() {
 }
 
 void BatchWebWaveSimulator::RestartLaneGossip(int d) {
-  // Identical to WebWaveSimulator::ReprojectAfterChurn's bookkeeping, lane
-  // for lane: the restart snapshot (the freshly projected served column)
-  // becomes both the lane's only history entry and its live estimates.
+  // The restart snapshot (the freshly projected served column) becomes
+  // both the lane's only history entry and its live estimates, so stale
+  // pre-churn vectors are never gossiped and, with gossip_period > 1, the
+  // first post-churn steps do not diffuse against imbalances that no
+  // longer exist.
   // Under instantaneous gossip there is nothing to restart — the kernel
   // reads the (just projected) served block directly.
   if (InstantGossip()) return;
@@ -368,11 +367,10 @@ void BatchWebWaveSimulator::ApplyDemandEvents(Span<DemandEvent> events) {
         for (std::size_t i = begin; i < end; ++i) {
           const int g = affected_blocks[i];
           const std::size_t base = BlockNodeBase(g);
-          // Identical to WebWaveSimulator::ReprojectAfterChurn, lane for
-          // lane — but all of a block's churned lanes project in one
-          // postorder sweep (ProjectLaneBlock reads each cache line of
-          // the block once), then each restarts its gossip history and
-          // refreshes its estimates.
+          // All of a block's churned lanes project in one postorder sweep
+          // (ProjectLaneBlock reads each cache line of the block once),
+          // then each restarts its gossip history and refreshes its
+          // estimates.
           internal::ProjectLaneBlock(
               tree_, spontaneous_.data() + base, served_.data() + base,
               forwarded_.data() + base, BlockWidth(g),

@@ -1,10 +1,13 @@
-// Batched WebWave: a whole catalog of hot documents stepped over one
-// shared routing tree in a single pass, in parallel across documents.
+// Batched WebWave — the one diffusion engine: a whole catalog of hot
+// documents stepped over one shared routing tree in a single pass, in
+// parallel across documents.  The protocol itself (§5, Figure 5) is
+// described in webwave.h; WebWaveSimulator there is this engine's
+// one-document view (one lane, block width 1, one thread).
 //
 // A home server rarely publishes one hot document; it publishes a catalog,
 // and every document's diffusion runs over the *same* topology.  Running D
-// independent WebWaveSimulator instances duplicates the edge structure and
-// the gossip bookkeeping D times and touches them in D separate passes.
+// independent engines would duplicate the edge structure and the gossip
+// bookkeeping D times and touch them in D separate passes.
 //
 // Layout — document blocks.  Lanes are grouped into blocks of
 // options.lane_block documents (B, default 8; the last block is ragged
@@ -36,14 +39,14 @@
 // to per-lane strided copies into the front plane.  Either path installs
 // identical bytes, so results do not depend on which one ran.
 //
-// Semantics are exactly D independent simulators, document for document:
-// lane d evolves as WebWaveSimulator(tree, spontaneous[d], opt_d) would,
-// where opt_d is the shared options with seed = options.seed + d (each
-// lane owns an RNG stream, so asynchronous runs also match).  Per-lane
-// arithmetic inside a block is independent and runs in the same IEEE
-// order at every width, so the equivalence is bit-exact at every
-// lane_block value — asserted by webwave_batch_test at ragged catalog
-// sizes, under churn, asynchronously and at 1/2/8 threads.
+// Semantics are exactly D independent runs, document for document: lane d
+// evolves as WebWaveSimulator(tree, spontaneous[d], opt_d) would, where
+// opt_d is the shared options with seed = options.seed + d (each lane owns
+// an RNG stream, so asynchronous runs also match).  Per-lane arithmetic
+// inside a block is independent and runs in the same IEEE order at every
+// width, so the equivalence is bit-exact at every lane_block value —
+// asserted by webwave_batch_test against width-1 one-lane runs at ragged
+// catalog sizes, under churn, asynchronously and at 1/2/8 threads.
 //
 // Threading: a document block is the unit of parallel work.  Blocks are
 // independent (each owns its load, estimate, ring and RNG slices), so
@@ -53,10 +56,10 @@
 // bit-identical to the serial path at any options.threads value.
 //
 // Demand churn is first-class: ApplyDemandEvents takes a batch of
-// (doc, node, rate) events and re-projects each affected lane exactly as
-// WebWaveSimulator::ApplyDemandEvents would (same ProjectLane kernel, same
-// per-lane gossip-history restart), so rotating-hot-spot and flash-crowd
-// scenarios run at catalog scale without leaving the fast path.
+// (doc, node, rate) events, re-projects each affected lane onto its new
+// feasible set and restarts that lane's gossip history, so
+// rotating-hot-spot and flash-crowd scenarios run at catalog scale without
+// leaving the fast path.
 //
 // Dirty-lane tracking: the engine records which lanes' (served,
 // forwarded) state actually *changed* — a demand event touched them, or a
@@ -93,10 +96,14 @@ namespace webwave {
 
 class BatchWebWaveSimulator {
  public:
+  // The one-document view reads its lane's plain n-vectors (block width 1)
+  // straight out of served_, forwarded_ and spontaneous_.
+  friend class WebWaveSimulator;
+
   // spontaneous[d][v] is document d's spontaneous request rate at node v.
   // All lanes share `tree` and `options`; lane d's RNG stream is seeded
   // options.seed + d.  `edges` optionally shares one flattened edge
-  // structure with other simulators over the same tree (see
+  // structure with other batches over the same tree (see
   // internal::BuildSharedEdgeArrays); null builds a private copy.
   BatchWebWaveSimulator(const RoutingTree& tree,
                         std::vector<std::vector<double>> spontaneous,
@@ -108,13 +115,13 @@ class BatchWebWaveSimulator {
 
   // Applies a batch of demand changes: event (doc, node, rate) sets
   // document doc's spontaneous rate at `node`, then every *affected* lane
-  // is re-projected onto its new feasible set, its gossip history is
-  // restarted and its estimates refreshed — exactly what
-  // WebWaveSimulator::ApplyDemandEvents does to a single lane, so per-lane
-  // equivalence with independent simulators survives churn.  Untouched
+  // is re-projected onto its new feasible set (internal::ProjectLaneBlock),
+  // its gossip history is restarted and its estimates refreshed, so
+  // per-lane equivalence with one-lane runs survives churn.  Untouched
   // lanes are not perturbed in any way (their delayed-gossip history keeps
   // running).  Later events win when a batch writes one (doc, node) cell
-  // twice.
+  // twice.  The whole batch is validated before anything is written: a
+  // rejected batch leaves every lane untouched.
   void ApplyDemandEvents(Span<DemandEvent> events);
 
   int steps() const { return steps_; }
@@ -235,7 +242,7 @@ class BatchWebWaveSimulator {
   int steps_ = 0;
 
   // Shared structure-of-arrays edge layout (ascending child id), one copy
-  // for all documents; stepped by the same kernel as WebWaveSimulator.
+  // for all documents.
   internal::SharedEdgeArrays edges_;
   std::vector<double> capacity_;
   // Per-edge scratch, edges·block_ doubles per pool worker, allocated on a

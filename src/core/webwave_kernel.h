@@ -1,24 +1,18 @@
-// The shared per-lane diffusion kernel of WebWaveSimulator and
-// BatchWebWaveSimulator.
-//
-// Both simulators advance load with the identical two-phase round of §5
-// (decide all transfers from one snapshot, then apply them edge-atomically
-// with feasibility clamps) over the identical flattened edge layout.  The
-// batch form's guarantee — per-document lanes bit-identical to independent
-// simulators — holds *by construction* because both call the functions in
-// this header rather than keeping copies of the kernel.
+// The diffusion kernel of BatchWebWaveSimulator — the one WebWave engine
+// (WebWaveSimulator is its one-lane view).
 //
 // The kernel is *width-generic*: StepLaneBlock advances `width` lanes in
-// one sweep over the edge list, with every per-lane quantity stored
+// one two-phase round of §5 (decide all transfers from one snapshot, then
+// apply them edge-atomically with feasibility clamps) over one sweep of
+// the flattened edge list, with every per-lane quantity stored
 // interleaved ([edge or node][width] — lane b of the block at slot
-// index·width + b).  The single-document simulator calls it with width 1
-// (where the layout degenerates to the plain flat arrays); the batch
-// simulator calls it with width = its document block size, so the shared
-// edge metadata (parent, child, alpha) is streamed once per *block*
-// instead of once per document.  Each lane's arithmetic is independent and
-// executed in the same IEEE order at every width, so per-lane results are
-// bit-identical across widths — the invariant the batch property tests
-// assert against independent simulators.
+// index·width + b).  The shared edge metadata (parent, child, alpha) is
+// therefore streamed once per *block* of documents instead of once per
+// document; at width 1 the layout degenerates to plain flat arrays.  Each
+// lane's arithmetic is independent and executed in the same IEEE order
+// at every width, so per-lane results are bit-identical across widths —
+// the invariant the batch tests assert between block widths and
+// webwave_golden_test pins for the one-lane view.
 #pragma once
 
 #include <algorithm>
@@ -54,7 +48,7 @@ struct EdgeArrays {
   std::vector<NodeId> parent;
   std::vector<NodeId> child;
   std::vector<double> alpha;
-  // The options the alphas were resolved from — lets a simulator reject a
+  // The options the alphas were resolved from — lets a batch reject a
   // shared build whose diffusion parameters do not match its own options.
   AlphaPolicy alpha_policy = AlphaPolicy::kDegree;
   double alpha_value = 0;
@@ -68,7 +62,7 @@ struct EdgeArrays {
   }
 
   // True iff these arrays describe exactly `tree`'s edges — the guard the
-  // simulator constructors apply to a caller-supplied shared build, so a
+  // batch constructor applies to a caller-supplied shared build, so a
   // build for a *different* same-sized tree cannot silently diffuse over
   // the wrong topology.  O(edges), far cheaper than rebuilding.
   bool MatchesTree(const RoutingTree& tree) const {
@@ -83,21 +77,21 @@ struct EdgeArrays {
   }
 };
 
-// Read-only edge structure shared between simulators: the arrays depend
-// only on (tree, alpha policy), so one build can back a batch engine, its
-// per-document reference simulators and any closed-loop re-derivations at
-// once instead of each constructor re-flattening the same tree.
+// Read-only edge structure shared between batches: the arrays depend only
+// on (tree, alpha policy), so one build can back several batch engines
+// over the same tree (and any closed-loop re-derivations) instead of each
+// constructor re-flattening it.
 using SharedEdgeArrays = std::shared_ptr<const EdgeArrays>;
 
-inline EdgeArrays BuildEdgeArrays(const RoutingTree& tree,
-                                  const WebWaveOptions& options) {
-  EdgeArrays edges;
-  edges.alpha_policy = options.alpha_policy;
-  edges.alpha_value = options.alpha;
+inline SharedEdgeArrays BuildSharedEdgeArrays(const RoutingTree& tree,
+                                              const WebWaveOptions& options) {
+  auto edges = std::make_shared<EdgeArrays>();
+  edges->alpha_policy = options.alpha_policy;
+  edges->alpha_value = options.alpha;
   const std::size_t edge_count = static_cast<std::size_t>(tree.size() - 1);
-  edges.parent.reserve(edge_count);
-  edges.child.reserve(edge_count);
-  edges.alpha.reserve(edge_count);
+  edges->parent.reserve(edge_count);
+  edges->child.reserve(edge_count);
+  edges->alpha.reserve(edge_count);
   for (NodeId v = 0; v < tree.size(); ++v) {
     if (tree.is_root(v)) continue;
     const NodeId p = tree.parent(v);
@@ -114,16 +108,11 @@ inline EdgeArrays BuildEdgeArrays(const RoutingTree& tree,
       case AlphaPolicy::kDegree:
         break;
     }
-    edges.parent.push_back(p);
-    edges.child.push_back(v);
-    edges.alpha.push_back(alpha);
+    edges->parent.push_back(p);
+    edges->child.push_back(v);
+    edges->alpha.push_back(alpha);
   }
   return edges;
-}
-
-inline SharedEdgeArrays BuildSharedEdgeArrays(const RoutingTree& tree,
-                                              const WebWaveOptions& options) {
-  return std::make_shared<const EdgeArrays>(BuildEdgeArrays(tree, options));
 }
 
 // One two-phase diffusion round over a block of `width` load lanes.
@@ -145,27 +134,35 @@ inline SharedEdgeArrays BuildSharedEdgeArrays(const RoutingTree& tree,
 // Estimates are read from `est_plane`, the gossiped load snapshot indexed
 // by *node* (not by edge): the parent's view of child c is
 // est_plane[c·width + b], the child's view of parent p is
-// est_plane[p·width + b].  One n-sized plane per lane replaces the two
-// edge-indexed estimate arrays the simulators used to materialize — the
-// same values, read through the edge endpoints instead of pre-gathered.
+// est_plane[p·width + b].  One n-sized plane per lane replaces two
+// edge-indexed estimate arrays — the same values, read through the edge
+// endpoints instead of pre-gathered.
 //
 // `rng` points at `width` per-lane generators; lane b consumes one
-// Bernoulli per edge (ascending edge order) in asynchronous mode only —
-// the identical draw sequence an independent simulator of that lane makes.
+// Bernoulli per edge (ascending edge order) in asynchronous mode only, so
+// a lane's draw sequence does not depend on the block it sits in.
 // `delta` is caller-provided scratch of edges.size()·width entries.
 //
-// `changed`, when non-null, points at `width` per-lane flags; a lane's
-// flag is OR-ed to 1 iff any of its served/forwarded values actually
-// changed (a transfer below 1 ulp of its endpoint leaves the value — and
-// the flag — untouched).  This is what feeds the batch engine's dirty-lane
-// set: clean means bit-identical state, not merely "no events".
+// `changed` points at `width` per-lane flags; a lane's flag is set to 1
+// iff any of its served/forwarded values actually changed (a transfer
+// below 1 ulp of its endpoint leaves the value — and the flag —
+// untouched).  This is what feeds the batch engine's dirty-lane set:
+// clean means bit-identical state, not merely "no events".  A set flag
+// is never re-tested, so in transfer-dense steps the comparisons run
+// about once per lane rather than once per transfer.
+//
+// kWidth > 0 fixes the width at compile time (`width` must equal it), so
+// the inner lane loop is specialised away; the batch engine uses
+// StepLaneBlock<1> for width-1 blocks — the one-document simulator's
+// only block — and the runtime-width form for the rest.
+template <int kWidth = 0>
 inline void StepLaneBlock(const EdgeArrays& edges, const double* capacity,
                           const WebWaveOptions& options, Rng* rng, int width,
                           double* served, double* forwarded,
                           const double* est_plane, double* delta,
-                          std::uint8_t* changed = nullptr) {
+                          std::uint8_t* changed) {
   const std::size_t edge_count = edges.size();
-  const std::size_t w = static_cast<std::size_t>(width);
+  const std::size_t w = static_cast<std::size_t>(kWidth > 0 ? kWidth : width);
   for (std::size_t k = 0; k < edge_count; ++k) {
     const std::size_t p = static_cast<std::size_t>(edges.parent[k]);
     const std::size_t c = static_cast<std::size_t>(edges.child[k]);
@@ -215,9 +212,9 @@ inline void StepLaneBlock(const EdgeArrays& edges, const double* capacity,
         const double np = sp[b] - d;
         const double nc = sc[b] + d;
         const double nf = fc[b] - d;
-        if (changed != nullptr)
-          changed[b] |= static_cast<std::uint8_t>(np != sp[b] || nc != sc[b] ||
-                                                  nf != fc[b]);
+        if (changed[b] == 0)
+          changed[b] = static_cast<std::uint8_t>(np != sp[b] || nc != sc[b] ||
+                                                 nf != fc[b]);
         sp[b] = np;
         sc[b] = nc;
         fc[b] = nf;
@@ -227,9 +224,9 @@ inline void StepLaneBlock(const EdgeArrays& edges, const double* capacity,
         const double nc = sc[b] - up_amt;
         const double np = sp[b] + up_amt;
         const double nf = fc[b] + up_amt;
-        if (changed != nullptr)
-          changed[b] |= static_cast<std::uint8_t>(nc != sc[b] || np != sp[b] ||
-                                                  nf != fc[b]);
+        if (changed[b] == 0)
+          changed[b] = static_cast<std::uint8_t>(nc != sc[b] || np != sp[b] ||
+                                                 nf != fc[b]);
         sc[b] = nc;
         sp[b] = np;
         fc[b] = nf;
@@ -238,11 +235,9 @@ inline void StepLaneBlock(const EdgeArrays& edges, const double* capacity,
   }
 }
 
-// Projects a lane's served vector onto the feasible set of (possibly new)
-// spontaneous rates — the demand-churn counterpart of StepLaneBlock,
-// shared by WebWaveSimulator::UpdateSpontaneous/ApplyDemandEvents and the
-// batch simulator's per-lane churn path so the two stay equivalent by
-// construction.
+// Projects the selected lanes' served vectors onto the feasible set of
+// (possibly new) spontaneous rates — the demand-churn counterpart of
+// StepLaneBlock, run by BatchWebWaveSimulator::ApplyDemandEvents.
 //
 // In postorder, every node may keep at most the flow that now arrives at
 // it (its own spontaneous rate plus what its children still forward); the
@@ -251,14 +246,13 @@ inline void StepLaneBlock(const EdgeArrays& edges, const double* capacity,
 // servers instantly noticing their request streams thinned.  On return the
 // lane satisfies flow conservation, L >= 0 and A >= 0 exactly.
 //
-// The width-generic form mirrors StepLaneBlock's layout: arrays are
-// [node][width] interleaved, and `select` (width flags, null = all)
-// picks which lanes of the block to project.  One postorder sweep
-// projects every selected lane — under churn that touches most of a
+// Arrays are [node][width] interleaved as in StepLaneBlock, and `select`
+// (width flags) picks which lanes of the block to project.  One postorder
+// sweep projects every selected lane — under churn that touches most of a
 // block this reads each cache line once instead of once per lane, which
 // is what keeps ApplyDemandEvents' cost flat in the block width.  Each
-// lane's arithmetic is independent and ordered exactly as the width-1
-// form, so projections agree bit for bit across layouts.
+// lane's arithmetic is independent and ordered identically at every
+// width, so projections agree bit for bit across layouts.
 inline void ProjectLaneBlock(const RoutingTree& tree,
                              const double* spontaneous, double* served,
                              double* forwarded, int width,
@@ -268,7 +262,7 @@ inline void ProjectLaneBlock(const RoutingTree& tree,
     const std::size_t row = static_cast<std::size_t>(v) * w;
     const bool root = tree.is_root(v);
     for (std::size_t b = 0; b < w; ++b) {
-      if (select != nullptr && select[b] == 0) continue;
+      if (select[b] == 0) continue;
       double arrive = spontaneous[row + b];
       for (const NodeId c : tree.children(v))
         arrive += forwarded[static_cast<std::size_t>(c) * w + b];
@@ -278,11 +272,6 @@ inline void ProjectLaneBlock(const RoutingTree& tree,
       forwarded[row + b] = arrive - serve;
     }
   }
-}
-
-inline void ProjectLane(const RoutingTree& tree, const double* spontaneous,
-                        double* served, double* forwarded) {
-  ProjectLaneBlock(tree, spontaneous, served, forwarded, 1, nullptr);
 }
 
 }  // namespace internal

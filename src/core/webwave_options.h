@@ -1,5 +1,5 @@
-// Configuration shared by the WebWave rate-level simulators (single-tree,
-// batched catalog) and their common step kernel.
+// Configuration of the WebWave rate-level engine (BatchWebWaveSimulator,
+// its one-document view WebWaveSimulator) and its step kernel.
 #pragma once
 
 #include <cstdint>
@@ -40,19 +40,19 @@ struct WebWaveOptions {
   // capacity assumption.  When set, diffusion equalizes *utilizations*
   // L_i / c_i and converges to the WebFoldWeighted assignment.
   std::vector<double> capacities;
-  // Worker threads for the batched simulator's per-lane sweeps (ignored by
-  // the single-document simulator).  0 picks one per hardware thread; the
-  // pool is clamped to the document count.  Document blocks are
+  // Worker threads for the per-block sweeps.  0 picks one per hardware
+  // thread; the pool is clamped to the document count, so a one-document
+  // run always steps on the calling thread.  Document blocks are
   // partitioned statically and share no mutable state between gossip
   // refreshes, so results are bit-identical at every thread count.
   int threads = 1;
-  // Document block width of the batched simulator: lanes are stored and
-  // stepped in blocks of this many documents interleaved per node/edge
-  // slot, so one sweep of the shared edge metadata advances lane_block
-  // lanes (the last block is ragged when the catalog size is not a
-  // multiple).  Purely a memory-layout knob — per-lane results are
-  // bit-identical at every width.  8 won the micro-benchmark sweep
-  // (BENCH_step_blocked.json); 1 reproduces the document-major layout.
+  // Document block width: lanes are stored and stepped in blocks of this
+  // many documents interleaved per node/edge slot, so one sweep of the
+  // shared edge metadata advances lane_block lanes (the last block is
+  // ragged when the catalog size is not a multiple).  Purely a
+  // memory-layout knob — per-lane results are bit-identical at every
+  // width.  8 won the micro-benchmark sweep (BENCH_step_blocked.json); 1
+  // reproduces the document-major layout.
   int lane_block = 8;
   std::uint64_t seed = 1;
 };
@@ -61,7 +61,8 @@ struct WebWaveOptions {
 // becomes `rate` (absolute, not a delta).  Batches of events are the unit
 // of churn: ApplyDemandEvents applies a whole batch and re-projects each
 // affected lane once, exactly as UpdateSpontaneous would with the merged
-// rate vector.  The single-document simulator requires doc == 0.
+// rate vector.  doc indexes the engine's lanes, so a one-document run
+// (WebWaveSimulator) accepts only doc == 0.
 struct DemandEvent {
   std::int32_t doc = 0;
   std::int32_t node = 0;

@@ -72,11 +72,47 @@ TEST(UpdateSpontaneous, RefreshesNeighborEstimatesImmediately) {
   EXPECT_NEAR(sim.served()[1], 5.0, 1e-12);
 }
 
+// The strong guarantee of a rejected demand change: served, forwarded and
+// spontaneous equal those of a twin that never saw the call, bit for bit,
+// and still do after a further step (so no hidden gossip or RNG state was
+// disturbed either).  Delayed, periodic, asynchronous gossip makes every
+// piece of hidden state matter.
+WebWaveOptions MidRunOptions() {
+  WebWaveOptions opt;
+  opt.gossip_period = 3;
+  opt.gossip_delay = 2;
+  opt.asynchronous = true;
+  return opt;
+}
+
+void ExpectUntouched(WebWaveSimulator& sim, WebWaveSimulator& twin) {
+  EXPECT_EQ(sim.served(), twin.served());
+  EXPECT_EQ(sim.forwarded(), twin.forwarded());
+  EXPECT_EQ(sim.spontaneous(), twin.spontaneous());
+  sim.Step();
+  twin.Step();
+  EXPECT_EQ(sim.served(), twin.served());
+  EXPECT_EQ(sim.forwarded(), twin.forwarded());
+  EXPECT_EQ(sim.steps(), twin.steps());
+}
+
 TEST(UpdateSpontaneous, RejectsBadRates) {
-  const RoutingTree tree = MakeChain(2);
-  WebWaveSimulator sim(tree, {1, 1});
+  const RoutingTree tree = MakeChain(4);
+  const std::vector<double> rates = {1, 4, 2, 8};
+  WebWaveSimulator sim(tree, rates, MidRunOptions());
+  WebWaveSimulator twin(tree, rates, MidRunOptions());
+  for (int s = 0; s < 7; ++s) {
+    sim.Step();
+    twin.Step();
+  }
   EXPECT_THROW(sim.UpdateSpontaneous({1}), std::invalid_argument);
-  EXPECT_THROW(sim.UpdateSpontaneous({1, -1}), std::invalid_argument);
+  ExpectUntouched(sim, twin);
+  EXPECT_THROW(sim.UpdateSpontaneous({1, 2, 3, 4, 5}), std::invalid_argument);
+  ExpectUntouched(sim, twin);
+  // The valid leading entries must not be written before the bad one is
+  // seen.
+  EXPECT_THROW(sim.UpdateSpontaneous({9, 9, 9, -1}), std::invalid_argument);
+  ExpectUntouched(sim, twin);
 }
 
 // ApplyDemandEvents is the batched form of UpdateSpontaneous: a batch of
@@ -140,11 +176,24 @@ TEST(ApplyDemandEvents, EmptyBatchIsANoOp) {
 
 TEST(ApplyDemandEvents, RejectsBadEvents) {
   const RoutingTree tree = MakeChain(3);
-  WebWaveSimulator sim(tree, {1, 1, 1});
+  const std::vector<double> rates = {1, 5, 3};
+  WebWaveSimulator sim(tree, rates, MidRunOptions());
+  WebWaveSimulator twin(tree, rates, MidRunOptions());
+  for (int s = 0; s < 5; ++s) {
+    sim.Step();
+    twin.Step();
+  }
   EXPECT_THROW(sim.ApplyDemandEvents({{1, 0, 1.0}}), std::invalid_argument);
+  ExpectUntouched(sim, twin);
   EXPECT_THROW(sim.ApplyDemandEvents({{0, 3, 1.0}}), std::invalid_argument);
+  ExpectUntouched(sim, twin);
   EXPECT_THROW(sim.ApplyDemandEvents({{0, 0, -1.0}}),
                std::invalid_argument);
+  ExpectUntouched(sim, twin);
+  // A valid event ahead of a bad one in the same batch must not land.
+  EXPECT_THROW(sim.ApplyDemandEvents({{0, 2, 7.0}, {0, -1, 1.0}}),
+               std::invalid_argument);
+  ExpectUntouched(sim, twin);
 }
 
 // ChurnSchedule ------------------------------------------------------------

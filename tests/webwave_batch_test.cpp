@@ -1,11 +1,12 @@
-// BatchWebWaveSimulator must be N independent WebWaveSimulator runs,
-// document for document: same tree, same options, lane d seeded
-// options.seed + d.  The sweeps below assert exact per-lane agreement
-// under the paper's assumptions and their relaxations (gossip period,
-// gossip delay, asynchronous activation) and across document block
-// widths — the blocked kernel interleaves lanes in memory but must not
-// change a single bit of any lane — plus invariants, dirty-lane
-// tracking and the catalog wiring.
+// BatchWebWaveSimulator must be N independent one-document runs, document
+// for document: same tree, same options, lane d seeded options.seed + d.
+// The reference runs are WebWaveSimulators — the same engine as a single
+// lane at block width 1, whose own bits webwave_golden_test pins — so the
+// sweeps below assert that interleaving lanes into blocks of any width
+// changes no bit of any lane, under the paper's assumptions and their
+// relaxations (gossip period, gossip delay, asynchronous activation) and
+// under churn; plus a shared edge build, invariants, dirty-lane tracking
+// and the catalog wiring.
 #include "core/load_model.h"
 #include "core/webfold.h"
 #include "core/webwave.h"
@@ -67,20 +68,20 @@ TEST_P(BatchEquivalenceSweep, MatchesIndependentSimulatorsDocumentForDocument) {
   opt.seed = c.seed * 101 + 7;
 
   BatchWebWaveSimulator batch(tree, lanes, opt);
-  // The independent reference simulators share the batch's edge build —
-  // one flattening of the tree for the whole test (and a live check that
-  // a shared build gives the same results as a private one).
-  const internal::SharedEdgeArrays edges = batch.shared_edges();
+  // A second batch borrows the first one's edge build: a live check that a
+  // shared build gives the same bits as a private one.
+  BatchWebWaveSimulator shared(tree, lanes, opt, batch.shared_edges());
+  ASSERT_EQ(shared.shared_edges(), batch.shared_edges());
   std::vector<WebWaveSimulator> singles;
   for (int d = 0; d < c.docs; ++d) {
     WebWaveOptions lane_opt = opt;
     lane_opt.seed = opt.seed + static_cast<std::uint64_t>(d);
-    singles.emplace_back(tree, lanes[static_cast<std::size_t>(d)], lane_opt,
-                         edges);
+    singles.emplace_back(tree, lanes[static_cast<std::size_t>(d)], lane_opt);
   }
 
   for (int s = 0; s < c.steps; ++s) {
     batch.Step();
+    shared.Step();
     for (auto& single : singles) single.Step();
     if (s % 16 != 0) continue;
     for (int d = 0; d < c.docs; ++d) {
@@ -90,6 +91,8 @@ TEST_P(BatchEquivalenceSweep, MatchesIndependentSimulatorsDocumentForDocument) {
         ASSERT_EQ(lane[static_cast<std::size_t>(v)],
                   expect[static_cast<std::size_t>(v)])
             << c << " step=" << s << " doc=" << d << " node=" << v;
+      ASSERT_EQ(shared.ServedLane(d), lane) << c << " step=" << s
+                                            << " doc=" << d;
     }
   }
   ASSERT_NO_THROW(batch.CheckInvariants(1e-6));
@@ -309,8 +312,7 @@ TEST(BatchWebWave, ApplyDemandEventsMatchesIndependentSimulatorsUnderChurn) {
   for (int d = 0; d < docs; ++d) {
     WebWaveOptions lane_opt = opt;
     lane_opt.seed = opt.seed + static_cast<std::uint64_t>(d);
-    singles.emplace_back(tree, lanes[static_cast<std::size_t>(d)], lane_opt,
-                         batch.shared_edges());
+    singles.emplace_back(tree, lanes[static_cast<std::size_t>(d)], lane_opt);
   }
 
   for (int round = 0; round < 8; ++round) {
@@ -370,8 +372,7 @@ TEST(BatchWebWave, ChurnScheduleEventsKeepBlockedLanesEquivalent) {
   for (int d = 0; d < docs; ++d) {
     WebWaveOptions lane_opt = opt;
     lane_opt.seed = opt.seed + static_cast<std::uint64_t>(d);
-    singles.emplace_back(tree, lanes[static_cast<std::size_t>(d)], lane_opt,
-                         batch.shared_edges());
+    singles.emplace_back(tree, lanes[static_cast<std::size_t>(d)], lane_opt);
   }
   for (int epoch = 0; epoch < 5; ++epoch) {
     const std::vector<DemandEvent> events = schedule.NextEvents();
@@ -473,8 +474,6 @@ TEST(BatchWebWave, RejectsMalformedInput) {
   const internal::SharedEdgeArrays mismatched =
       internal::BuildSharedEdgeArrays(tree, fixed);
   EXPECT_THROW(BatchWebWaveSimulator(tree, {{1, 2, 3}}, {}, mismatched),
-               std::invalid_argument);
-  EXPECT_THROW(WebWaveSimulator(tree, {1, 2, 3}, {}, mismatched),
                std::invalid_argument);
   // ... and one built for a different same-sized tree must be rejected
   // too (wrong topology, not just wrong parameters).
