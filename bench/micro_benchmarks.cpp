@@ -365,12 +365,17 @@ BENCHMARK(BM_ZipfSample)->Arg(1000)->Arg(1000000);
 
 // Custom main: unless the caller asks otherwise, append a JSON record of
 // every run to BENCH_webwave.json so the perf trajectory of the hot paths
-// is captured by default.
+// is captured by default.  An unfiltered run also ends with the lane-block
+// sweep (BENCH_step_blocked.json); a --benchmark_filter= run skips it.
 int main(int argc, char** argv) {
   std::vector<char*> args(argv, argv + argc);
   bool has_out = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::string(argv[i]).rfind("--benchmark_out=", 0) == 0) has_out = true;
+  bool filtered = false;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--benchmark_out=", 0) == 0) has_out = true;
+    if (arg.rfind("--benchmark_filter=", 0) == 0) filtered = true;
+  }
   std::string out = "--benchmark_out=BENCH_webwave.json";
   std::string fmt = "--benchmark_out_format=json";
   if (!has_out) {
@@ -382,9 +387,6 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc2, args.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  // The lane-block sweep runs after the registered benchmarks (skip with
-  // WEBWAVE_NO_BLOCK_SWEEP=1 when filtering for a single micro-benchmark).
-  using namespace webwave;
-  if (!bench::EnvFlag("WEBWAVE_NO_BLOCK_SWEEP")) RunBlockedStepSweep();
+  if (!filtered) webwave::RunBlockedStepSweep();
   return 0;
 }

@@ -45,9 +45,9 @@
 
 #include "bench_util.h"
 #include "core/webwave_batch.h"
+#include "quota/quota_snapshot.h"
 #include "serve/closed_loop.h"
 #include "serve/placement_policy.h"
-#include "serve/quota_snapshot.h"
 #include "serve/request_gen.h"
 #include "serve/serving_plane.h"
 #include "store/cache_store.h"

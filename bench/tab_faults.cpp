@@ -40,10 +40,10 @@
 #include "core/webwave_batch.h"
 #include "fault/fault_projector.h"
 #include "fault/fault_schedule.h"
+#include "quota/quota_snapshot.h"
 #include "serve/closed_loop.h"
 #include "serve/epoch_driver.h"
 #include "serve/placement_policy.h"
-#include "serve/quota_snapshot.h"
 #include "serve/request_gen.h"
 #include "serve/serving_plane.h"
 #include "tree/builders.h"

@@ -94,7 +94,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/latency_histogram.h"
 #include "proto/packet_sim.h"
-#include "serve/quota_snapshot.h"
+#include "quota/quota_snapshot.h"
 #include "tree/builders.h"
 #include "util/ascii.h"
 #include "util/bench_json.h"

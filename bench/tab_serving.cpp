@@ -63,10 +63,10 @@
 #include "obs/metric_registry.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
+#include "quota/quota_snapshot.h"
 #include "serve/closed_loop.h"
 #include "serve/placement_policy.h"
 #include "serve/epoch_driver.h"
-#include "serve/quota_snapshot.h"
 #include "serve/request_gen.h"
 #include "serve/serving_plane.h"
 #include "stats/summary.h"

@@ -40,7 +40,7 @@
 #include "netd/epoch_plan.h"
 #include "obs/exposition.h"
 #include "obs/trace.h"
-#include "serve/quota_snapshot.h"
+#include "quota/quota_snapshot.h"
 #include "tree/builders.h"
 #include "util/ascii.h"
 #include "util/rng.h"

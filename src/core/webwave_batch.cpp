@@ -443,61 +443,38 @@ void BatchWebWaveSimulator::ExportQuotas(
     }
 }
 
-void BatchWebWaveSimulator::ExportLanesQuotas(
-    Span<const int> lanes, double min_rate,
-    std::vector<QuotaCell>* out) const {
+std::vector<BatchWebWaveSimulator::LaneRun>
+BatchWebWaveSimulator::SelectLaneRuns(Span<const int> lanes,
+                                      double min_rate) const {
   WEBWAVE_REQUIRE(min_rate >= 0, "min_rate must be non-negative");
-  WEBWAVE_REQUIRE(out != nullptr, "export needs an output vector");
-  if (lanes.empty()) return;
   // Group the requested lanes by block, keeping both orders ascending, so
-  // the sweep below emits ExportQuotas order and touches each selected
+  // the export sweep emits ExportQuotas order and touches each selected
   // block's rows once per node regardless of how many of its lanes were
   // asked for.
   // Maximal contiguous runs of selected lanes, per block: dirty sets are
   // usually runs of adjacent documents, and a [lo, hi) inner loop with no
-  // offset indirection is what lets the sweep below run at line speed
-  // instead of ~3 ns per (node, lane).
-  struct RunSelect {
-    const double* served;  // block's row of node 0
-    const double* forwarded;
-    std::size_t width;
-    std::int32_t first_doc;  // document id of lane offset 0
-    std::size_t lo, hi;      // selected lane-in-block offsets [lo, hi)
-  };
-  std::vector<RunSelect> selected;
+  // offset indirection is what lets the sweep run at line speed instead
+  // of ~3 ns per (node, lane).
+  std::vector<LaneRun> runs;
   int last = -1;
   for (const int d : lanes) {
     WEBWAVE_REQUIRE(d > last, "lanes must be ascending and unique");
     WEBWAVE_REQUIRE(d < docs_, "document lane out of range");
     const int g = BlockOf(d);
     const std::size_t b = static_cast<std::size_t>(LaneInBlock(d));
-    if (!selected.empty() && d == last + 1 &&
-        selected.back().first_doc == static_cast<std::int32_t>(g * block_) &&
-        selected.back().hi == b) {
-      ++selected.back().hi;
+    if (!runs.empty() && d == last + 1 &&
+        runs.back().first_doc == static_cast<std::int32_t>(g * block_) &&
+        runs.back().hi == b) {
+      ++runs.back().hi;
     } else {
-      selected.push_back({served_.data() + BlockNodeBase(g),
-                          forwarded_.data() + BlockNodeBase(g),
-                          static_cast<std::size_t>(BlockWidth(g)),
-                          static_cast<std::int32_t>(g * block_), b, b + 1});
+      runs.push_back({served_.data() + BlockNodeBase(g),
+                      forwarded_.data() + BlockNodeBase(g),
+                      static_cast<std::size_t>(BlockWidth(g)),
+                      static_cast<std::int32_t>(g * block_), b, b + 1});
     }
     last = d;
   }
-  const std::size_t nn = static_cast<std::size_t>(tree_.size());
-  // Node-major over run-minor keeps the emission order; one row-pointer
-  // computation per (node, run), and all of a block's selected lanes read
-  // out of the same cache line(s).
-  for (std::size_t v = 0; v < nn; ++v)
-    for (const RunSelect& sel : selected) {
-      const double* row = sel.served + v * sel.width;
-      for (std::size_t b = sel.lo; b < sel.hi; ++b) {
-        const double rate = row[b];
-        if (rate > min_rate)
-          out->push_back({static_cast<NodeId>(v),
-                          sel.first_doc + static_cast<std::int32_t>(b), rate,
-                          sel.forwarded[v * sel.width + b]});
-      }
-    }
+  return runs;
 }
 
 double BatchWebWaveSimulator::MaxNodeLoad() const {

@@ -88,6 +88,7 @@
 #include "core/webwave_kernel.h"
 #include "core/webwave_options.h"
 #include "tree/routing_tree.h"
+#include "util/check.h"
 #include "util/rng.h"
 #include "util/span.h"
 #include "util/worker_pool.h"
@@ -169,24 +170,34 @@ class BatchWebWaveSimulator {
       const std::function<void(NodeId, std::int32_t, double served,
                                double forwarded)>& sink) const;
 
-  // One exported (node, document) quota cell (see ExportQuotas).
-  struct QuotaCell {
-    NodeId node;
-    std::int32_t doc;
-    double served;
-    double forwarded;
-  };
-
   // A subset of documents' cells only (lanes must be ascending and
-  // unique), appended to `out` in ExportQuotas order — the
-  // incremental-snapshot counterpart of ExportQuotas
-  // (QuotaSnapshot::RefreshFromBatch feeds it the dirty set).  One
-  // node-major sweep serves all requested lanes at once, so lanes sharing
-  // a block share its cache lines instead of each paying a full strided
-  // re-scan; the sweep fills a plain vector (no per-cell callback) so the
-  // inner loop stays tight.
+  // unique): appends make(node, doc, served, forwarded) to `out` for each
+  // cell, in ExportQuotas order — the incremental-snapshot counterpart of
+  // ExportQuotas (QuotaSnapshot::RefreshFromBatch feeds it the dirty set
+  // and builds its cells directly).  One node-major sweep serves all
+  // requested lanes at once, so lanes sharing a block share its cache
+  // lines instead of each paying a full strided re-scan; `make` is
+  // inlined, so the inner loop stays tight.
+  template <typename Cell, typename Make>
   void ExportLanesQuotas(Span<const int> lanes, double min_rate,
-                         std::vector<QuotaCell>* out) const;
+                         std::vector<Cell>* out, Make make) const {
+    WEBWAVE_REQUIRE(out != nullptr, "export needs an output vector");
+    const std::vector<LaneRun> runs = SelectLaneRuns(lanes, min_rate);
+    if (runs.empty()) return;
+    const std::size_t nn = static_cast<std::size_t>(tree_.size());
+    // Node-major over run-minor keeps the emission order; one row-pointer
+    // computation per (node, run), and all of a block's selected lanes
+    // read out of the same cache line(s).
+    for (std::size_t v = 0; v < nn; ++v)
+      for (const LaneRun& run : runs) {
+        const std::size_t row = v * run.width;
+        for (std::size_t b = run.lo; b < run.hi; ++b)
+          if (run.served[row + b] > min_rate)
+            out->push_back(make(static_cast<NodeId>(v),
+                                run.first_doc + static_cast<std::int32_t>(b),
+                                run.served[row + b], run.forwarded[row + b]));
+      }
+  }
 
   // Euclidean distance of lane d's served vector to a target assignment.
   double DistanceTo(int d, const std::vector<double>& target) const;
@@ -204,6 +215,19 @@ class BatchWebWaveSimulator {
   bool InstantGossip() const {
     return options_.gossip_period == 1 && options_.gossip_delay == 0;
   }
+  // A maximal run of selected lanes inside one block, for
+  // ExportLanesQuotas.
+  struct LaneRun {
+    const double* served;  // block's row of node 0
+    const double* forwarded;
+    std::size_t width;
+    std::int32_t first_doc;  // document id of lane offset 0
+    std::size_t lo, hi;      // selected lane-in-block offsets [lo, hi)
+  };
+  // Validates `lanes` and groups them into runs, block by block.
+  std::vector<LaneRun> SelectLaneRuns(Span<const int> lanes,
+                                      double min_rate) const;
+
   // Block bookkeeping.  Block g holds lanes [g·B, g·B + BlockWidth(g));
   // all blocks before the last are full, so block g's node-indexed arrays
   // start at g·B·n and its edge-indexed scratch at g·B·(n−1).

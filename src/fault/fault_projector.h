@@ -10,7 +10,7 @@
 // service, it never destroys it.  The spill law — ancestor climb,
 // fraction re-derivation (q+S)/(A+S), home-cell synthesis, bit-identical
 // pass-through of untouched cells — is SpillProjector's
-// (store/spill_projector.h), shared with the capacity plane; this class
+// (quota/spill_projector.h), shared with the capacity plane; this class
 // contributes only the survivor predicate: live and holding a base copy.
 //
 // Refresh is the event-proportional path: given the transition batch from
@@ -43,8 +43,8 @@
 #include <vector>
 
 #include "fault/fault_schedule.h"
-#include "serve/quota_snapshot.h"
-#include "store/spill_projector.h"
+#include "quota/quota_snapshot.h"
+#include "quota/spill_projector.h"
 #include "tree/routing_tree.h"
 #include "util/span.h"
 

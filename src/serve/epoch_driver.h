@@ -26,7 +26,7 @@
 // The engine's WorkerPool idles between its steps, so the driver lends it
 // to the attached projectors for every projection it runs (their
 // admission rows and spill documents run in pool blocks; see
-// store/spill_projector.h) and takes it back afterwards.  Outputs are the
+// quota/spill_projector.h) and takes it back afterwards.  Outputs are the
 // same at any engine thread count.
 #pragma once
 
@@ -39,7 +39,7 @@
 #include "obs/clock.h"
 #include "obs/metric_registry.h"
 #include "obs/timeline.h"
-#include "serve/quota_snapshot.h"
+#include "quota/quota_snapshot.h"
 #include "serve/serving_plane.h"
 #include "store/capacity_projector.h"
 #include "util/span.h"

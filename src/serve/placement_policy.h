@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "doc/catalog.h"
-#include "serve/quota_snapshot.h"
+#include "quota/quota_snapshot.h"
 #include "tree/routing_tree.h"
 
 namespace webwave {

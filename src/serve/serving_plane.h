@@ -59,7 +59,7 @@
 
 #include "obs/metric_registry.h"
 #include "obs/trace.h"
-#include "serve/quota_snapshot.h"
+#include "quota/quota_snapshot.h"
 #include "serve/request_gen.h"
 #include "tree/routing_tree.h"
 #include "util/span.h"

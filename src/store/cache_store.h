@@ -31,7 +31,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "serve/quota_snapshot.h"
+#include "quota/quota_snapshot.h"
 #include "store/document_sizes.h"
 #include "tree/routing_tree.h"
 #include "util/span.h"

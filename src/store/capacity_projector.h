@@ -14,13 +14,12 @@
 // The spill law itself — nearest-surviving-ancestor re-homing, fraction
 // re-derivation (q+S)/(A+S), home-cell synthesis, bit-identical
 // pass-through of untouched cells, conservation of total rate — lives in
-// SpillProjector (store/spill_projector.h), shared with the fault
+// SpillProjector (quota/spill_projector.h), shared with the fault
 // plane's FaultProjector; this class contributes only the survivor
 // predicate (store residency) and the churn-proportional bookkeeping.
 //
-// Refresh is the churn-proportional path, mirroring
-// QuotaSnapshot::RefreshFromBatch one layer down: given the freshly
-// re-synced base snapshot and the engine's dirty-lane set, it re-ranks
+// Refresh is the churn-proportional path: given the freshly re-synced
+// base snapshot and the engine's dirty-lane set, it re-ranks
 // admission only at nodes whose rows hold dirty cells (or held resident
 // ones), then re-projects dirty lanes ∪ documents whose residency moved
 // — capacity couples documents through the shared byte budget, so a
@@ -39,9 +38,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "serve/quota_snapshot.h"
+#include "quota/quota_snapshot.h"
 #include "store/cache_store.h"
-#include "store/spill_projector.h"
+#include "quota/spill_projector.h"
 #include "tree/routing_tree.h"
 #include "util/span.h"
 

@@ -26,7 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "serve/quota_snapshot.h"
+#include "quota/quota_snapshot.h"
 #include "wire/message.h"
 
 namespace webwave {

@@ -15,8 +15,8 @@
 #include "core/webwave_batch.h"
 #include "doc/catalog.h"
 #include "proto/packet_sim.h"
+#include "quota/quota_snapshot.h"
 #include "serve/epoch_driver.h"
-#include "serve/quota_snapshot.h"
 #include "serve/request_gen.h"
 #include "serve/serving_plane.h"
 #include "sim/churn.h"

@@ -4,7 +4,6 @@
 // spot.
 #include "serve/closed_loop.h"
 #include "serve/placement_policy.h"
-#include "serve/quota_snapshot.h"
 #include "serve/request_gen.h"
 #include "serve/serving_plane.h"
 
@@ -16,6 +15,7 @@
 
 #include "core/webwave_batch.h"
 #include "doc/placement.h"
+#include "quota/quota_snapshot.h"
 #include "sim/churn.h"
 #include "tree/builders.h"
 
@@ -239,6 +239,7 @@ TEST(QuotaSnapshot, RefreshFromBatchMatchesFullRebuildAcrossEpochs) {
   }
   // The scenario is built to hit both paths; if it stops doing so the test
   // has silently lost half its coverage.
+  EXPECT_TRUE(saw_in_place) << "no epoch exercised the in-place path";
   EXPECT_TRUE(saw_fallback) << "no epoch exercised the structural fallback";
 }
 

@@ -1,5 +1,6 @@
-// Shared by store_test and fault_test: cell-for-cell snapshot equality and
-// a naive reference for the spill law the projectors implement.
+// Shared by store_test, fault_test and quota_test: cell-for-cell snapshot
+// equality, and a naive reference for the spill law the projectors
+// implement.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -9,7 +10,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "serve/quota_snapshot.h"
+#include "quota/quota_snapshot.h"
 #include "tree/routing_tree.h"
 #include "util/span.h"
 

@@ -16,8 +16,8 @@
 
 #include "core/webwave_batch.h"
 #include "obs/metric_registry.h"
+#include "quota/quota_snapshot.h"
 #include "serve/placement_policy.h"
-#include "serve/quota_snapshot.h"
 #include "serve/request_gen.h"
 #include "serve/serving_plane.h"
 #include "sim/churn.h"

@@ -16,7 +16,7 @@
 
 #include "doc/catalog.h"
 #include "doc/placement.h"
-#include "serve/quota_snapshot.h"
+#include "quota/quota_snapshot.h"
 #include "tree/builders.h"
 #include "util/rng.h"
 #include "wire/codec.h"

@@ -1,14 +1,11 @@
 #!/usr/bin/env python3
-"""Layer check: the src/ subsystem include graph may only get less cyclic.
+"""Layer check: the src/ subsystem include graph must stay acyclic.
 
 Each directory under src/ is a subsystem.  A file in subsystem A that
 includes "B/..." (B another subsystem) is an edge A -> B.  The script
-derives that graph from the sources, enumerates its elementary cycles and
-exits non-zero if any cycle is not in KNOWN_CYCLES below, the cycles that
-exist today.  A cycle that disappears is reported so the list can shrink;
-it never fails the check.
-
-It prints the edge list, any new or vanished cycle and a summary line.
+derives that graph from the sources, prints its edge list, every
+elementary cycle and a summary line, and exits non-zero if there is any
+cycle at all.
 
 Usage: python3 tools/check_layers.py
 """
@@ -16,18 +13,6 @@ Usage: python3 tools/check_layers.py
 import os
 import re
 import sys
-
-# The cycles left today, each as elementary_cycles() writes it (starting
-# at its least subsystem): the three mutual pairs serve<->store,
-# serve<->fault and serve<->wire, plus the one longer cycle they close
-# through fault -> store.  The target is an empty set: a change may
-# remove entries, never add them.
-KNOWN_CYCLES = {
-    ("serve", "store"),
-    ("fault", "serve"),
-    ("serve", "wire"),
-    ("fault", "store", "serve"),
-}
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 INCLUDE = re.compile(r'^\s*#\s*include\s*"([^"/]+)/[^"]+"')
@@ -77,16 +62,12 @@ def main():
     for sub in sorted(graph):
         print(f"{sub} -> {', '.join(sorted(graph[sub])) or '-'}")
     cycles = elementary_cycles(graph)
-    new = [c for c in cycles if c not in KNOWN_CYCLES]
-    for c in sorted(KNOWN_CYCLES - set(cycles)):
-        print("gone: " + " -> ".join(c + (c[0],)) +
-              "; drop it from KNOWN_CYCLES")
-    for c in new:
-        print("new cycle: " + " -> ".join(c + (c[0],)))
+    for c in cycles:
+        print("cycle: " + " -> ".join(c + (c[0],)))
     print(f"{len(graph)} subsystems, "
           f"{sum(len(v) for v in graph.values())} edges, "
-          f"{len(cycles)} cycles ({len(new)} new)")
-    return 1 if new else 0
+          f"{len(cycles)} cycles")
+    return 1 if cycles else 0
 
 
 if __name__ == "__main__":
