@@ -4,8 +4,9 @@
 // feasibility argument is wall-clock per simulated period.  This table
 // steps a whole catalog of hot documents as BatchWebWaveSimulator lanes
 // over one shared random routing tree, up to 10⁶ nodes × 64 documents
-// (64M load lanes per step), and records setup cost, per-step cost and
-// lane throughput.  Per-lane behaviour is bit-identical to running one
+// (64M load lanes per step), and records setup cost, per-step cost, lane
+// throughput and the engine's work counters (lane-edges decided,
+// transfers applied).  Per-lane behaviour is bit-identical to running one
 // WebWaveSimulator per document (asserted by webwave_batch_test); only
 // the memory layout is shared.
 //
@@ -123,6 +124,9 @@ int main() {
     json.Add("ms_per_step", ms_per_step);
     json.Add("lane_steps_per_sec", lane_steps_per_sec);
     json.Add("max_node_load", max_load);
+    // The engine's work counters: exact, at any thread count and B.
+    json.Add("lane_edges", static_cast<long long>(batch.lane_edges()));
+    json.Add("transfers", static_cast<long long>(batch.transfers()));
   }
   std::printf("%s\n", table.Render().c_str());
 

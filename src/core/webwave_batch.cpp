@@ -51,17 +51,32 @@ BatchWebWaveSimulator::BatchWebWaveSimulator(
     edges_ = internal::BuildSharedEdgeArrays(tree_, options_);
   }
 
-  // The block sweeps run on a persistent pool; per-edge scratch is
-  // per-worker so concurrent blocks never share it.  The pool is clamped
-  // to the catalog size (the historical contract of thread_count()); a
-  // block is the unit of work, so at most blocks_ workers are ever busy.
+  // The block sweeps run on a persistent pool; step scratch is per-worker
+  // so concurrent blocks never share it.  The pool is clamped to the
+  // catalog size (the historical contract of thread_count()); a block is
+  // the unit of work, so a step's sweep wakes Parts(blocks_) workers.
   const int requested =
       options_.threads > 0
           ? options_.threads
           : static_cast<int>(
                 std::max(1u, std::thread::hardware_concurrency()));
   pool_ = std::make_unique<WorkerPool>(std::min(requested, docs_));
-  delta_.resize(static_cast<std::size_t>(pool_->thread_count()));
+  scratch_.resize(static_cast<std::size_t>(
+      pool_->Parts(static_cast<std::size_t>(blocks_))));
+  // With every capacity 1.0 a utilization is its load bit for bit
+  // (x / 1.0 == x), so the loads are their own utilization planes and no
+  // worker holds one (internal::StepScratch).
+  const bool unit_capacity =
+      std::all_of(capacity_.begin(), capacity_.end(),
+                  [](double c) { return c == 1.0; });
+  const std::size_t plane =
+      static_cast<std::size_t>(n) * static_cast<std::size_t>(block_);
+  for (WorkerScratch& s : scratch_) {
+    s.delta.assign(edges_->size() * static_cast<std::size_t>(block_), 0.0);
+    if (unit_capacity) continue;
+    s.util.assign(plane, 0.0);
+    if (!InstantGossip()) s.est_util.assign(plane, 0.0);
+  }
 
   // Blocked load lanes: scatter each caller lane into its block columns.
   const std::size_t lanes = static_cast<std::size_t>(docs_);
@@ -265,7 +280,6 @@ void BatchWebWaveSimulator::Step() {
   // slices, planes, RNGs, ring positions — is its own, so the block sweep
   // parallelizes with no synchronization beyond the pool barrier, and the
   // static partition keeps results bit-identical to the serial order.
-  const std::size_t edge_count = edges_->size();
   const bool instant = InstantGossip();
   const bool push_history = options_.gossip_delay > 0;
   const bool refresh =
@@ -273,41 +287,36 @@ void BatchWebWaveSimulator::Step() {
   pool_->ParallelFor(
       static_cast<std::size_t>(blocks_),
       [&](int worker, std::size_t begin, std::size_t end) {
-        if (begin == end) return;
-        std::vector<double>& scratch =
-            delta_[static_cast<std::size_t>(worker)];
-        if (scratch.empty())
-          scratch.assign(edge_count * static_cast<std::size_t>(block_), 0.0);
-        double* delta = scratch.data();
+        WorkerScratch& s = scratch_[static_cast<std::size_t>(worker)];
+        const internal::StepScratch planes{
+            s.delta.data(), s.util.empty() ? nullptr : s.util.data(),
+            s.est_util.data()};
         for (std::size_t gi = begin; gi < end; ++gi) {
           const int g = static_cast<int>(gi);
-          const int width = BlockWidth(g);
           const std::size_t base = BlockNodeBase(g);
           const std::size_t lane0 = static_cast<std::size_t>(g) *
                                     static_cast<std::size_t>(block_);
           double* served = served_.data() + base;
-          double* forwarded = forwarded_.data() + base;
           // Phase 1 reads estimates before phase 2 writes, so under
           // instantaneous gossip the served block doubles as the
           // estimate plane (same bytes a per-step refresh would copy).
-          const double* est = instant ? served : PlaneAt(g, FrontSlot());
-          Rng* rng = lane_rng_.data() + lane0;
-          std::uint8_t* changed = dirty_.data() + lane0;
-          // Width 1 (the one-document simulator) gets the kernel
-          // specialised for it: the runtime-width loop at width 1 steps
-          // 1.3–1.7× slower (BM_WebWaveStep, 10⁴–10⁵ nodes).
-          if (width == 1)
-            internal::StepLaneBlock<1>(*edges_, capacity_.data(), options_,
-                                       rng, 1, served, forwarded, est, delta,
-                                       changed);
-          else
-            internal::StepLaneBlock(*edges_, capacity_.data(), options_, rng,
-                                    width, served, forwarded, est, delta,
-                                    changed);
+          const internal::StepWork work = internal::StepLaneBlock(
+              *edges_, capacity_.data(), options_, lane_rng_.data() + lane0,
+              BlockWidth(g), served, forwarded_.data() + base,
+              instant ? served : PlaneAt(g, FrontSlot()), planes,
+              dirty_.data() + lane0);
+          s.work.lane_edges += work.lane_edges;
+          s.work.transfers += work.transfers;
           if (push_history) PushBlockHistory(g);
           if (refresh) RefreshBlockEstimates(g);
         }
       });
+  // Integer sums: the totals do not depend on which worker stepped what.
+  for (WorkerScratch& s : scratch_) {
+    lane_edges_ += s.work.lane_edges;
+    transfers_ += s.work.transfers;
+    s.work = internal::StepWork();
+  }
   ++steps_;
 }
 

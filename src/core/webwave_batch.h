@@ -15,11 +15,11 @@
 // stored *lane-interleaved*: served_[block_base + v·W + b] is lane
 // (g·B + b)'s value at node v, W the block's width.  One sweep of the
 // shared edge arrays (parent, child, alpha — one copy for the whole
-// catalog) advances all W lanes of a block through an inner loop over b
-// that is contiguous in memory and auto-vectorizable, so the edge
-// metadata is streamed once per *block* instead of once per document —
-// D/B× less shared-structure traffic than the document-major layout
-// (which is exactly the B = 1 special case).
+// catalog) advances up to 8 lanes of a block through an inner loop over b
+// that is contiguous in memory and runs on 2-lane vector chunks, so the
+// edge metadata is streamed once per lane group instead of once per
+// document — up to 8× less shared-structure traffic than the
+// document-major layout (which is exactly the B = 1 special case).
 //
 // Estimates — a double-buffered gossip plane.  Each block owns one
 // node-indexed estimate plane (its *front* buffer); the step kernel reads
@@ -75,9 +75,11 @@
 // the estimate plane, which is bitwise what a per-step refresh would have
 // installed — so a lane costs 3n doubles (spontaneous, served, forwarded)
 // ≈ 24 bytes per (node, document) pair: 10⁶ nodes × 64 documents in
-// ~1.5 GB, plus edges·lane_block step scratch per worker.  Non-trivial
-// gossip adds the front plane (n per lane) and, when delayed, the ring
-// (gossip_delay + 1 slots of n per lane).
+// ~1.5 GB, plus step scratch per worker: edges·lane_block transfers and,
+// under non-uniform capacities, one n·lane_block utilization plane (two
+// under non-trivial gossip).
+// Non-trivial gossip adds the front plane (n per lane) and, when delayed,
+// the ring (gossip_delay + 1 slots of n per lane).
 #pragma once
 
 #include <cstdint>
@@ -136,6 +138,15 @@ class BatchWebWaveSimulator {
   // catalog size).
   int lane_block() const { return block_; }
   internal::SharedEdgeArrays shared_edges() const { return edges_; }
+
+  // Work counters since construction, summed over lanes and steps:
+  // lane-edges whose transfer a step decided (edges × lanes per
+  // synchronous step; the activated ones when asynchronous) and transfers
+  // it applied.  Pure functions of the inputs — the same at any thread
+  // count and lane_block — so transfers / lane_edges is the step's
+  // transfer density.
+  std::int64_t lane_edges() const { return lane_edges_; }
+  std::int64_t transfers() const { return transfers_; }
 
   // Lane d's served (L) / forwarded (A) / spontaneous vectors, length
   // node_count(), gathered out of the interleaved block storage.
@@ -269,11 +280,21 @@ class BatchWebWaveSimulator {
   // for all documents.
   internal::SharedEdgeArrays edges_;
   std::vector<double> capacity_;
-  // Per-edge scratch, edges·block_ doubles per pool worker, allocated on a
-  // worker's first block (the pool may hold more workers than blocks —
-  // its size is part of the thread_count() contract — and idle workers
-  // should not cost 8·edges bytes each).
-  std::vector<std::vector<double>> delta_;
+  // Step scratch of one pool worker (internal::StepScratch): per-edge
+  // transfers and, unless every capacity is 1.0, the utilization planes,
+  // block_ lanes wide, plus the worker's work counts of the current step.
+  // Only workers that can hold a block — min(threads, blocks) — get one,
+  // and all are sized in the constructor, on the calling thread, so none
+  // lives in a worker's malloc arena.
+  struct WorkerScratch {
+    std::vector<double> delta;
+    std::vector<double> util;
+    std::vector<double> est_util;  // non-instantaneous gossip only
+    internal::StepWork work;
+  };
+  std::vector<WorkerScratch> scratch_;
+  std::int64_t lane_edges_ = 0;  // since construction, all lanes
+  std::int64_t transfers_ = 0;
 
   // Blocked load lanes (layout in the file comment).
   std::vector<double> spontaneous_;

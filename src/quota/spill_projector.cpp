@@ -162,6 +162,12 @@ void SpillProjector::ProjectDocs(const QuotaSnapshot& base,
       s.touched.reserve(nodes);
     }
   }
+  // A projected column holds at most the base column plus a home cell;
+  // reserving that here keeps the columns out of the workers' arenas too.
+  for (const std::int32_t d : docs) {
+    const std::size_t column = base.DocNodes(d).size();
+    doc_scratch_[static_cast<std::size_t>(d)].reserve(column + 1);
+  }
   WorkerPool::ForBlocks(
       pool_, docs.size(), [&](int worker, std::size_t begin, std::size_t end) {
         Scratch& s = scratch_[static_cast<std::size_t>(worker)];

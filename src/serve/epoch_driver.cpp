@@ -98,6 +98,8 @@ void EpochDriver::AttachRegistry(MetricRegistry* registry) {
   reg_snap_in_place_ = registry_->Gauge("epoch.snapshot_in_place");
   reg_proj_in_place_ = registry_->Gauge("epoch.projections_in_place");
   reg_down_nodes_ = registry_->Gauge("epoch.down_nodes");
+  reg_lane_edges_ = registry_->Counter("epoch.lane_edges");
+  reg_transfers_ = registry_->Counter("epoch.transfers");
   for (int p = 0; p < kPhaseCount; ++p)
     reg_phase_[p] = registry_->Gauge(std::string("epoch.phase_ns.") +
                                      PhaseName(p));
@@ -134,7 +136,11 @@ EpochDriver::Report EpochDriver::ApplyEpoch(
 
   if (churn_events.size() > 0) sim_.ApplyDemandEvents(churn_events);
   mark(kDemand);
+  const std::int64_t lane_edges = sim_.lane_edges();
+  const std::int64_t transfers = sim_.transfers();
   for (int s = 0; s < options_.steps_per_epoch; ++s) sim_.Step();
+  report.lane_edges = sim_.lane_edges() - lane_edges;
+  report.transfers = sim_.transfers() - transfers;
   mark(kDiffusion);
 
   report.dirty = sim_.DirtyLanes();
@@ -195,6 +201,10 @@ EpochDriver::Report EpochDriver::ApplyEpoch(
 void EpochDriver::Publish(const Report& report) {
   if (registry_ != nullptr) {
     registry_->Add(reg_epochs_, 1);
+    registry_->Add(reg_lane_edges_,
+                   static_cast<std::uint64_t>(report.lane_edges));
+    registry_->Add(reg_transfers_,
+                   static_cast<std::uint64_t>(report.transfers));
     registry_->Set(reg_dirty_, static_cast<std::int64_t>(report.dirty.size()));
     registry_->Set(reg_snap_in_place_, report.snapshot_in_place ? 1 : 0);
     registry_->Set(reg_proj_in_place_, report.projections_in_place ? 1 : 0);

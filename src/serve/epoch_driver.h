@@ -73,6 +73,10 @@ class EpochDriver {
     std::vector<int> dirty;   // the engine lanes that moved this epoch
     bool snapshot_in_place = false;   // RefreshFromBatch held the shape
     bool projections_in_place = false;  // every projector refresh did too
+    // The epoch's diffusion work (BatchWebWaveSimulator::lane_edges /
+    // transfers over its steps): deterministic, like the fields above.
+    std::int64_t lane_edges = 0;
+    std::int64_t transfers = 0;
     // Wall time per phase from the attached clock; all zeros without one.
     // Timings never participate in identity assertions — only the fields
     // above and the layer outputs do.
@@ -100,8 +104,9 @@ class EpochDriver {
   void SetClock(MonotonicClock* clock) { clock_ = clock; }
   // Per-epoch publishing: gauges for the epoch's dirty-lane count,
   // in-place flags, phase timings and each attached projector's spill
-  // stats (SpillProjector::PublishMetrics), plus an "epoch.count"
-  // counter.  nullptr detaches.
+  // stats (SpillProjector::PublishMetrics), plus counters "epoch.count",
+  // "epoch.lane_edges" and "epoch.transfers" (the engine's work, summed
+  // over epochs).  nullptr detaches.
   void AttachRegistry(MetricRegistry* registry);
   // One JSON-lines record appended per ApplyEpoch (epoch index, dirty
   // lanes, in-place flags, phase ns, projector stats).  nullptr detaches.
@@ -140,7 +145,8 @@ class EpochDriver {
   Timeline* timeline_ = nullptr;
   std::uint64_t epoch_index_ = 0;
   MetricRegistry::Id reg_epochs_{}, reg_dirty_{}, reg_snap_in_place_{},
-      reg_proj_in_place_{}, reg_down_nodes_{}, reg_phase_[kPhaseCount] = {};
+      reg_proj_in_place_{}, reg_down_nodes_{}, reg_lane_edges_{},
+      reg_transfers_{}, reg_phase_[kPhaseCount] = {};
 };
 
 }  // namespace webwave

@@ -468,8 +468,11 @@ void ServingPlane::Serve(Span<Request> batch) {
     }
   });
 
-  // Deterministic merge: integer sums over workers (order-independent).
-  for (WorkerState& ws : workers_) {
+  // Deterministic merge: integer sums over the workers that ran a block
+  // (order-independent); the rest hold zeros from the last merge.
+  const std::size_t ran = static_cast<std::size_t>(pool_->Parts(blocks));
+  for (std::size_t w = 0; w < ran; ++w) {
+    WorkerState& ws = workers_[w];
     if (registry_ != nullptr) {
       registry_->Add(reg_ids_.requests, ws.local.requests);
       registry_->Add(reg_ids_.cache_served, ws.local.cache_served);

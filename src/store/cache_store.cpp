@@ -122,11 +122,22 @@ void CacheStore::Readmit(const QuotaSnapshot& snapshot,
     WEBWAVE_REQUIRE(i == 0 || nodes[i - 1] < nodes[i],
                     "Readmit nodes must be strictly ascending");
   }
+  // A keep set never outgrows its snapshot row, so reserving the rows here
+  // gives every keep-set buffer its growth on the calling thread, not in
+  // a pool worker's malloc arena.
+  std::size_t widest = 0;
+  for (const NodeId v : nodes) {
+    const std::size_t row =
+        static_cast<std::size_t>(snapshot.row_end(v) - snapshot.row_begin(v));
+    kept_[static_cast<std::size_t>(v)].reserve(row);
+    widest = std::max(widest, row);
+  }
   workers_.resize(static_cast<std::size_t>(WorkerPool::Blocks(pool)));
   for (Worker& w : workers_) {
     w.changed.clear();
     w.resident_delta = 0;
     w.rows_ranked = 0;
+    if (changed_docs != nullptr) w.old_row.reserve(widest);
   }
   WorkerPool::ForBlocks(
       pool, nodes.size(), [&](int worker, std::size_t begin, std::size_t end) {
@@ -136,7 +147,8 @@ void CacheStore::Readmit(const QuotaSnapshot& snapshot,
           const std::size_t vv = static_cast<std::size_t>(v);
           std::vector<DocId>& now = kept_[vv];
           w.resident_delta -= static_cast<std::int64_t>(now.size());
-          if (changed_docs != nullptr) w.old_row.swap(now);
+          if (changed_docs != nullptr)
+            w.old_row.assign(now.begin(), now.end());
           used_[vv] = 0;
           if (v == home_) {
             // The home keeps its whole row: it is the origin, not a cache.

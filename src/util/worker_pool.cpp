@@ -9,7 +9,8 @@ namespace webwave {
 WorkerPool::WorkerPool(int threads)
     : threads_(threads > 0
                    ? threads
-                   : std::max(1u, std::thread::hardware_concurrency())) {
+                   : std::max(1u, std::thread::hardware_concurrency())),
+      wake_(static_cast<std::size_t>(threads_)) {
   // Worker 0 is the calling thread; only blocks 1..threads_-1 need their
   // own thread.
   workers_.reserve(static_cast<std::size_t>(threads_ - 1));
@@ -22,7 +23,7 @@ WorkerPool::~WorkerPool() {
     std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
   }
-  wake_.notify_all();
+  for (std::condition_variable& wake : wake_) wake.notify_one();
   for (std::thread& t : workers_) t.join();
 }
 
@@ -38,7 +39,8 @@ void WorkerPool::Partition(std::size_t count, int parts, int part,
 
 void WorkerPool::ParallelFor(std::size_t count, const Task& fn) {
   if (count == 0) return;
-  if (threads_ == 1) {
+  const int parts = Parts(count);
+  if (parts == 1) {
     fn(0, 0, count);  // a serial loop's exception propagates naturally
     return;
   }
@@ -47,20 +49,20 @@ void WorkerPool::ParallelFor(std::size_t count, const Task& fn) {
     WEBWAVE_REQUIRE(task_ == nullptr, "ParallelFor is not reentrant");
     task_ = &fn;
     task_count_ = count;
-    pending_ = threads_ - 1;
+    task_parts_ = parts;
+    pending_ = parts - 1;
     ++generation_;
   }
-  wake_.notify_all();
+  for (int w = 1; w < parts; ++w)
+    wake_[static_cast<std::size_t>(w)].notify_one();
 
   std::size_t begin = 0, end = 0;
-  Partition(count, threads_, 0, &begin, &end);
+  Partition(count, parts, 0, &begin, &end);
   std::exception_ptr error;
-  if (begin < end) {
-    try {
-      fn(0, begin, end);
-    } catch (...) {
-      error = std::current_exception();
-    }
+  try {
+    fn(0, begin, end);
+  } catch (...) {
+    error = std::current_exception();
   }
 
   std::unique_lock<std::mutex> lock(mutex_);
@@ -90,24 +92,25 @@ void WorkerPool::WorkerMain(int worker) {
   for (;;) {
     const Task* task = nullptr;
     std::size_t count = 0;
+    int parts = 0;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      wake_.wait(lock,
-                 [&] { return stopping_ || generation_ != seen; });
+      wake_[static_cast<std::size_t>(worker)].wait(lock, [&] {
+        return stopping_ || (generation_ != seen && worker < task_parts_);
+      });
       if (stopping_) return;
       seen = generation_;
       task = task_;
       count = task_count_;
+      parts = task_parts_;
     }
     std::size_t begin = 0, end = 0;
-    Partition(count, threads_, worker, &begin, &end);
+    Partition(count, parts, worker, &begin, &end);
     std::exception_ptr error;
-    if (begin < end) {
-      try {
-        (*task)(worker, begin, end);
-      } catch (...) {
-        error = std::current_exception();
-      }
+    try {
+      (*task)(worker, begin, end);
+    } catch (...) {
+      error = std::current_exception();
     }
     {
       std::lock_guard<std::mutex> lock(mutex_);

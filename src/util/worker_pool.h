@@ -13,9 +13,11 @@
 //
 // The pool keeps its threads alive between calls (a batch step at 10⁶
 // nodes runs many sweeps per second; re-spawning threads each time would
-// dominate), parks them on a condition variable, and runs block 0 on the
-// calling thread so a single-threaded pool degrades to a plain loop with
-// no synchronization at all.
+// dominate), parks each on its own condition variable, and runs block 0
+// on the calling thread.  A sweep over fewer indices than threads is cut
+// into `count` one-index blocks, so the caller always has work and only
+// the workers holding a block are woken; a one-index sweep (or a
+// single-threaded pool) is a plain call with no synchronization at all.
 //
 // The callback may throw: the first exception raised in any block is
 // captured and rethrown on the submitting thread after every worker has
@@ -55,13 +57,20 @@ class WorkerPool {
   WorkerPool& operator=(const WorkerPool&) = delete;
 
   int thread_count() const { return threads_; }
+  // Blocks of a sweep over `count` indices: min(count, thread_count()).
+  int Parts(std::size_t count) const {
+    return count < static_cast<std::size_t>(threads_)
+               ? static_cast<int>(count)
+               : threads_;
+  }
 
-  // Runs fn over the static partition of [0, count) into thread_count()
-  // blocks and returns when every block is done.  Serial when the pool has
-  // one thread or the range is empty.  If fn throws in any block, the
-  // first captured exception is rethrown here once the sweep has drained
-  // (see file comment).  Not reentrant: fn must not call ParallelFor on
-  // the same pool.
+  // Runs fn over the static partition of [0, count) into Parts(count)
+  // blocks — block i on worker i, block 0 on the calling thread — and
+  // returns when every block is done.  Worker ids a sweep sees are
+  // therefore < Parts(count), and only those workers are woken.  If fn
+  // throws in any block, the first captured exception is rethrown here
+  // once the sweep has drained (see file comment).  Not reentrant: fn
+  // must not call ParallelFor on the same pool.
   void ParallelFor(std::size_t count, const Task& fn);
 
   // ParallelFor on a borrowed `pool`, or the single block fn(0, 0, count)
@@ -86,10 +95,11 @@ class WorkerPool {
   std::vector<std::thread> workers_;
 
   std::mutex mutex_;
-  std::condition_variable wake_;
+  std::vector<std::condition_variable> wake_;  // by worker id (0 unused)
   std::condition_variable done_;
   const Task* task_ = nullptr;   // valid while a sweep is in flight
   std::size_t task_count_ = 0;   // index range of the current sweep
+  int task_parts_ = 0;           // Parts(task_count_)
   std::uint64_t generation_ = 0; // bumped once per sweep
   int pending_ = 0;              // workers still running the current sweep
   bool stopping_ = false;

@@ -324,12 +324,22 @@ TEST(EpochDriver, PublishesRegistryAndTimelinePerEpoch) {
   FakeClock clock;
   driver.SetClock(&clock);
 
+  std::uint64_t transfers = 0;
   for (int e = 0; e < 3; ++e) {
     sim.ApplyDemandEvents(schedule.NextEvents());
-    driver.ApplyEpoch(Span<DemandEvent>(), Span<const FaultEvent>());
+    const EpochDriver::Report report =
+        driver.ApplyEpoch(Span<DemandEvent>(), Span<const FaultEvent>());
+    transfers += static_cast<std::uint64_t>(report.transfers);
   }
   EXPECT_EQ(driver.epoch_index(), 3u);
   EXPECT_EQ(registry.counter(registry.Counter("epoch.count")), 3u);
+  // The engine's work: a synchronous step decides every lane-edge.
+  const std::uint64_t steps = static_cast<std::uint64_t>(
+      3 * EpochDriver::Options().steps_per_epoch);
+  EXPECT_EQ(registry.counter(registry.Counter("epoch.lane_edges")),
+            steps * static_cast<std::uint64_t>(tree.size() - 1) * 4u);
+  EXPECT_EQ(registry.counter(registry.Counter("epoch.transfers")), transfers);
+  EXPECT_GT(transfers, 0u);
   ASSERT_EQ(timeline.record_count(), 3u);
   const std::string line = timeline.RenderLine(2);
   EXPECT_NE(line.find("\"epoch\": 3"), std::string::npos) << line;

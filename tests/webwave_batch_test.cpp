@@ -5,19 +5,23 @@
 // sweeps below assert that interleaving lanes into blocks of any width
 // changes no bit of any lane, under the paper's assumptions and their
 // relaxations (gossip period, gossip delay, asynchronous activation) and
-// under churn; plus a shared edge build, invariants, dirty-lane tracking
-// and the catalog wiring.
+// under churn; plus a shared edge build, invariants, dirty-lane tracking,
+// the work counters and the catalog wiring.  The reference sweep pins the
+// kernel itself to the branchy scalar round of tests/step_reference.h.
 #include "core/load_model.h"
 #include "core/webfold.h"
 #include "core/webwave.h"
 #include "core/webwave_batch.h"
 #include "doc/catalog.h"
 #include "sim/churn.h"
+#include "step_reference.h"
 #include "tree/builders.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <deque>
 #include <vector>
 
 namespace webwave {
@@ -482,6 +486,324 @@ TEST(BatchWebWave, RejectsMalformedInput) {
       internal::BuildSharedEdgeArrays(other, WebWaveOptions{});
   EXPECT_THROW(BatchWebWaveSimulator(tree, {{1, 2, 3}}, {}, wrong_tree),
                std::invalid_argument);
+}
+
+// ---- The kernel against the branchy reference -----------------------------
+
+// Bit pattern of a double: the reference checks tell +0.0 from -0.0.
+std::uint64_t Bits(double x) {
+  std::uint64_t b;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+// One lane stepped by ReferenceStepLaneBlock at width 1, with the engine's
+// gossip bookkeeping written out plainly: the estimate plane `front` is
+// refreshed every gossip_period steps from the snapshot gossip_delay
+// steps old (or from fewer, while a restarted history is short).
+struct ReferenceLane {
+  std::vector<double> served, forwarded, front;
+  std::deque<std::vector<double>> history;  // newest last
+  Rng rng;
+  std::uint8_t changed = 0;
+
+  ReferenceLane(std::vector<double> s, std::vector<double> f,
+                std::uint64_t seed)
+      : served(std::move(s)), forwarded(std::move(f)), rng(seed) {
+    Restart();
+  }
+  void Restart() {
+    front = served;
+    history.assign(1, served);
+  }
+  internal::StepWork Step(const internal::EdgeArrays& edges,
+                          const double* capacity, const WebWaveOptions& opt,
+                          int step, std::vector<double>* delta) {
+    const bool instant = opt.gossip_period == 1 && opt.gossip_delay == 0;
+    const internal::StepWork work = ReferenceStepLaneBlock(
+        edges, capacity, opt, &rng, 1, served.data(), forwarded.data(),
+        instant ? served.data() : front.data(), delta->data(), &changed);
+    const std::size_t delay = static_cast<std::size_t>(opt.gossip_delay);
+    if (delay > 0) {
+      history.push_back(served);
+      if (history.size() > delay + 1) history.pop_front();
+    }
+    if (instant || (step + 1) % opt.gossip_period != 0) return work;
+    const std::size_t lag = std::min(delay, history.size() - 1);
+    front = delay == 0 ? served : history[history.size() - 1 - lag];
+    return work;
+  }
+};
+
+// A random tree with shuffled labels, so children often have smaller ids
+// than their parents and the edge sweep (ascending child id) visits a
+// node's child edges before its own parent edge.
+RoutingTree ShuffledRandomTree(int n, Rng& rng) {
+  const RoutingTree base = MakeRandomTree(n, rng);
+  std::vector<NodeId> label(static_cast<std::size_t>(n));
+  for (int v = 0; v < n; ++v) label[static_cast<std::size_t>(v)] = v;
+  rng.Shuffle(label);
+  std::vector<NodeId> parents(static_cast<std::size_t>(n), kNoNode);
+  for (NodeId v = 0; v < n; ++v)
+    if (!base.is_root(v))
+      parents[static_cast<std::size_t>(label[static_cast<std::size_t>(v)])] =
+          label[static_cast<std::size_t>(base.parent(v))];
+  return RoutingTree::FromParents(std::move(parents));
+}
+
+// Spontaneous rates that self-serve into the awkward states: -0.0 and
+// +0.0 rates, and children whose utilization sits within a few 1e-12 of
+// their parent's — on both sides of the dead band.
+std::vector<std::vector<double>> EdgeCaseLanes(const RoutingTree& tree,
+                                               const std::vector<double>& cap,
+                                               int docs, Rng& rng) {
+  const int n = tree.size();
+  std::vector<std::vector<double>> lanes(static_cast<std::size_t>(docs));
+  for (auto& lane : lanes) {
+    lane.assign(static_cast<std::size_t>(n), 0.0);
+    for (NodeId v : tree.preorder()) {
+      const std::size_t i = static_cast<std::size_t>(v);
+      const double pick = rng.NextDouble(0, 1);
+      if (pick < 0.15) {
+        lane[i] = -0.0;
+      } else if (pick < 0.25) {
+        lane[i] = 0.0;
+      } else if (pick < 0.55 && !tree.is_root(v)) {
+        const std::size_t p = static_cast<std::size_t>(tree.parent(v));
+        const double t = static_cast<double>(rng.NextInt(-3, 3)) * 0.5;
+        lane[i] = lane[p] / cap[p] * cap[i] *
+                  (1 + t * internal::kImbalanceDeadband);
+      } else {
+        lane[i] = rng.NextDouble(0, 30);
+      }
+    }
+  }
+  return lanes;
+}
+
+// Steps one engine and its per-lane references side by side for `rounds`
+// rounds of `steps` steps and demands bit-identical served and forwarded
+// vectors, identical dirty flags and the same work counts after every
+// step.  Between rounds a
+// churn batch writes -0.0 and dead-band rates on a third of the cells;
+// the references take the projected lanes from the engine (projection is
+// not the kernel under test) and restart their gossip as it does.
+void StepAgainstReference(const RoutingTree& tree,
+                          const std::vector<std::vector<double>>& lanes,
+                          const WebWaveOptions& opt, int rounds, int steps,
+                          Rng& rng) {
+  const int n = tree.size();
+  const int docs = static_cast<int>(lanes.size());
+  std::vector<double> capacity = opt.capacities;
+  if (capacity.empty()) capacity.assign(static_cast<std::size_t>(n), 1.0);
+  BatchWebWaveSimulator batch(tree, lanes, opt);
+  ASSERT_EQ(batch.lane_block(), std::min(opt.lane_block, docs));
+  const internal::EdgeArrays& edges = *batch.shared_edges();
+  std::vector<ReferenceLane> refs;
+  for (int d = 0; d < docs; ++d)
+    refs.emplace_back(batch.ServedLane(d), batch.ForwardedLane(d),
+                      opt.seed + static_cast<std::uint64_t>(d));
+  std::vector<double> delta(edges.size());
+
+  const auto compare = [&](int step) {
+    for (int d = 0; d < docs; ++d) {
+      const ReferenceLane& ref = refs[static_cast<std::size_t>(d)];
+      const std::vector<double> served = batch.ServedLane(d);
+      const std::vector<double> forwarded = batch.ForwardedLane(d);
+      for (std::size_t v = 0; v < static_cast<std::size_t>(n); ++v) {
+        ASSERT_EQ(Bits(served[v]), Bits(ref.served[v]))
+            << "served, step " << step << " doc " << d << " node " << v;
+        ASSERT_EQ(Bits(forwarded[v]), Bits(ref.forwarded[v]))
+            << "forwarded, step " << step << " doc " << d << " node " << v;
+      }
+      ASSERT_EQ(batch.LaneDirty(d), ref.changed != 0)
+          << "dirty flag, step " << step << " doc " << d;
+    }
+  };
+
+  batch.ClearDirtyLanes();
+  int step = 0;
+  for (int round = 0; round < rounds; ++round) {
+    if (round > 0) {
+      std::vector<DemandEvent> events;
+      std::vector<bool> churned(static_cast<std::size_t>(docs), false);
+      for (int d = 0; d < docs; ++d)
+        for (NodeId v = 0; v < n; ++v)
+          if (rng.NextBernoulli(0.3)) {
+            const double rate =
+                rng.NextBernoulli(0.5)
+                    ? -0.0
+                    : refs[static_cast<std::size_t>(d)]
+                              .served[static_cast<std::size_t>(v)] *
+                          (1 + internal::kImbalanceDeadband);
+            events.push_back({d, v, rate});
+            churned[static_cast<std::size_t>(d)] = true;
+          }
+      batch.ApplyDemandEvents(events);
+      batch.ClearDirtyLanes();
+      for (int d = 0; d < docs; ++d) {
+        if (!churned[static_cast<std::size_t>(d)]) continue;
+        ReferenceLane& ref = refs[static_cast<std::size_t>(d)];
+        ref.served = batch.ServedLane(d);
+        ref.forwarded = batch.ForwardedLane(d);
+        ref.Restart();
+      }
+    }
+    for (int s = 0; s < steps; ++s, ++step) {
+      const std::int64_t lane_edges = batch.lane_edges();
+      const std::int64_t transfers = batch.transfers();
+      batch.Step();
+      internal::StepWork work;
+      for (ReferenceLane& ref : refs) {
+        const internal::StepWork w =
+            ref.Step(edges, capacity.data(), opt, step, &delta);
+        work.lane_edges += w.lane_edges;
+        work.transfers += w.transfers;
+      }
+      ASSERT_EQ(batch.lane_edges() - lane_edges, work.lane_edges)
+          << "lane-edges, step " << step;
+      ASSERT_EQ(batch.transfers() - transfers, work.transfers)
+          << "transfers, step " << step;
+      compare(step);
+      if (::testing::Test::HasFatalFailure()) return;
+      batch.ClearDirtyLanes();
+      for (ReferenceLane& ref : refs) ref.changed = 0;
+    }
+  }
+}
+
+struct KernelCase {
+  int width;
+  int threads;
+  bool asynchronous;
+  int gossip_period, gossip_delay;
+};
+
+void ExpectKernelMatchesReference(const KernelCase& k, std::uint64_t seed) {
+  SCOPED_TRACE(::testing::Message()
+               << "width=" << k.width << " threads=" << k.threads
+               << (k.asynchronous ? " async" : " sync") << " gp="
+               << k.gossip_period << " gd=" << k.gossip_delay
+               << " seed=" << seed);
+  Rng rng(seed);
+  const int n = 24;
+  const RoutingTree tree = ShuffledRandomTree(n, rng);
+  WebWaveOptions opt;
+  // Unit capacities take the kernel's no-division path (the loads are
+  // their own utilizations); the rest step through utilization planes.
+  std::vector<double> capacity(static_cast<std::size_t>(n), 1.0);
+  if (seed % 3 != 0) {
+    for (double& c : capacity) c = rng.NextDouble(0.5, 4.0);
+    opt.capacities = capacity;
+  }
+  // A full block and a ragged one, so widths 1..9 and their halves step.
+  const int docs = k.width + (k.width + 1) / 2;
+  const std::vector<std::vector<double>> lanes =
+      EdgeCaseLanes(tree, capacity, docs, rng);
+  opt.lane_block = k.width;
+  opt.threads = k.threads;
+  opt.asynchronous = k.asynchronous;
+  opt.gossip_period = k.gossip_period;
+  opt.gossip_delay = k.gossip_delay;
+  opt.initial_load = InitialLoad::kSelfService;
+  opt.seed = seed * 31 + 5;
+  if (seed % 2 == 0) {
+    // Uncapped alpha lets a parent hand a child more than it can spare, so
+    // phase 2's clamps bind.
+    opt.alpha_policy = AlphaPolicy::kFixedUncapped;
+    opt.alpha = 0.5;
+  }
+  StepAgainstReference(tree, lanes, opt, 3, 8, rng);
+}
+
+class KernelReferenceSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(KernelReferenceSweep, MatchesBranchyReferenceBitForBit) {
+  const int width = GetParam();
+  std::uint64_t seed = static_cast<std::uint64_t>(width) * 1000;
+  for (const int threads : {1, 2, 8})
+    for (const bool asynchronous : {false, true})
+      for (const auto& gossip : {std::pair<int, int>{1, 0}, {3, 2}})
+        for (int rep = 0; rep < 2; ++rep) {
+          ExpectKernelMatchesReference(
+              {width, threads, asynchronous, gossip.first, gossip.second},
+              ++seed);
+          if (HasFatalFailure()) return;
+        }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, KernelReferenceSweep,
+                         ::testing::Range(1, 10));
+
+// A clamp that cuts an upward transfer to zero must leave the parent's
+// -0.0 alone.  Leaves 0-2 push load up to node 3 in step 1; in step 2
+// node 3 hands all of it back down (edges 0-2 come first in the sweep)
+// before its own upward transfer to node 4, served -0.0, is clamped to
+// nothing.  Storing the would-be parent value anyway turns -0.0 into
+// +0.0, which only a bitwise comparison sees.
+TEST(BatchWebWave, ClampedTransferKeepsTheParentsNegativeZero) {
+  const RoutingTree tree = RoutingTree::FromParents({3, 3, 3, 4, 5, kNoNode});
+  const std::vector<double> lane = {10, 10, 10, 0, -0.0, 0};
+  for (int width = 1; width <= 9; ++width) {
+    SCOPED_TRACE(::testing::Message() << "width=" << width);
+    WebWaveOptions opt;
+    opt.alpha_policy = AlphaPolicy::kFixedUncapped;
+    opt.alpha = 0.5;
+    opt.initial_load = InitialLoad::kSelfService;
+    opt.lane_block = width;
+    Rng rng(1);
+    const std::vector<std::vector<double>> lanes(
+        static_cast<std::size_t>(width), lane);
+    StepAgainstReference(tree, lanes, opt, 1, 4, rng);
+    if (HasFatalFailure()) return;
+  }
+}
+
+// The work counters are pure functions of the inputs: every thread count
+// and block width reports the same lane-edges and transfers (and the same
+// lane bits), and a synchronous step decides every lane-edge.
+TEST(BatchWebWave, WorkCountersDoNotDependOnThreadsOrBlockWidth) {
+  const int nodes = 40, docs = 11;
+  Rng rng(91);
+  const RoutingTree tree = MakeRandomTree(nodes, rng);
+  const std::vector<std::vector<double>> lanes =
+      RandomLanes(nodes, docs, rng);
+  for (const bool asynchronous : {false, true}) {
+    std::int64_t lane_edges = -1, transfers = -1;
+    std::vector<std::vector<double>> served;
+    for (const int threads : {1, 2, 8})
+      for (const int block : {1, 4, 8}) {
+        WebWaveOptions opt;
+        opt.asynchronous = asynchronous;
+        opt.threads = threads;
+        opt.lane_block = block;
+        BatchWebWaveSimulator batch(tree, lanes, opt);
+        EXPECT_EQ(batch.lane_edges(), 0);
+        EXPECT_EQ(batch.transfers(), 0);
+        for (int s = 0; s < 30; ++s) batch.Step();
+        if (lane_edges < 0) {
+          lane_edges = batch.lane_edges();
+          transfers = batch.transfers();
+          for (int d = 0; d < docs; ++d) served.push_back(batch.ServedLane(d));
+        }
+        for (int d = 0; d < docs; ++d)
+          ASSERT_EQ(batch.ServedLane(d), served[static_cast<std::size_t>(d)])
+              << "threads=" << threads << " block=" << block << " doc=" << d;
+        EXPECT_EQ(batch.lane_edges(), lane_edges)
+            << "threads=" << threads << " block=" << block;
+        EXPECT_EQ(batch.transfers(), transfers)
+            << "threads=" << threads << " block=" << block;
+      }
+    const std::int64_t all = 30LL * (nodes - 1) * docs;
+    if (asynchronous) {
+      EXPECT_GT(lane_edges, all / 4);
+      EXPECT_LT(lane_edges, all * 3 / 4);
+    } else {
+      EXPECT_EQ(lane_edges, all);
+    }
+    EXPECT_GT(transfers, 0);
+    EXPECT_LE(transfers, lane_edges);
+  }
 }
 
 }  // namespace

@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace webwave {
@@ -100,6 +102,42 @@ TEST(WorkerPool, MoreThreadsThanWork) {
     for (std::size_t i = begin; i < end; ++i) visits[i].fetch_add(1);
   });
   for (auto& v : visits) EXPECT_EQ(v.load(), 1);
+}
+
+// A sweep over fewer indices than threads is cut into one-index blocks on
+// workers 0..count-1: a one-index sweep never leaves the calling thread,
+// and no sweep hands a block to a worker id at or above min(count,
+// threads).
+TEST(WorkerPool, ShortSweepsRunOnTheCallerAndTheLowestWorkers) {
+  for (const int threads : {1, 2, 4, 8}) {
+    WorkerPool pool(threads);
+    std::thread::id ran_on;
+    pool.ParallelFor(1, [&](int worker, std::size_t begin, std::size_t end) {
+      EXPECT_EQ(worker, 0);
+      EXPECT_EQ(begin, 0u);
+      EXPECT_EQ(end, 1u);
+      ran_on = std::this_thread::get_id();
+    });
+    EXPECT_EQ(ran_on, std::this_thread::get_id()) << "threads=" << threads;
+    EXPECT_EQ(pool.Parts(1), 1);
+    for (const std::size_t count : {2u, 3u, 5u, 9u, 100u}) {
+      const int parts = pool.Parts(count);
+      EXPECT_EQ(parts, std::min<int>(static_cast<int>(count), threads));
+      std::vector<std::atomic<int>> blocks(static_cast<std::size_t>(threads));
+      for (auto& b : blocks) b.store(0);
+      std::atomic<std::size_t> covered{0};
+      pool.ParallelFor(count, [&](int worker, std::size_t begin,
+                                  std::size_t end) {
+        ASSERT_LT(worker, parts) << "count=" << count;
+        blocks[static_cast<std::size_t>(worker)].fetch_add(1);
+        covered.fetch_add(end - begin);
+      });
+      EXPECT_EQ(covered.load(), count);
+      for (int w = 0; w < parts; ++w)
+        EXPECT_EQ(blocks[static_cast<std::size_t>(w)].load(), 1)
+            << "threads=" << threads << " count=" << count << " worker=" << w;
+    }
+  }
 }
 
 TEST(WorkerPool, RethrowsTheFirstWorkerExceptionAndStaysUsable) {

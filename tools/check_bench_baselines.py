@@ -75,6 +75,8 @@ RULES = {
 _WORK = ("survivor_checks", "climb_steps", "rows_ranked", "cells_projected")
 EXACT = {
     "tab_capacity": _WORK + tuple("quarter_" + f for f in _WORK),
+    # BatchWebWaveSimulator::lane_edges() / transfers() after the steps.
+    "tab_batch_catalog": ("lane_edges", "transfers"),
 }
 
 # JSON-lines artifacts emitted by the telemetry plane.  No baselines (the
